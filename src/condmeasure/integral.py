@@ -1,13 +1,16 @@
 """The stable integral: indicators, elementary functions, exact integration.
 
 Integrands are measurable vector-valued functions given per atom and
-per ground point by exact rationals.  Nonnegative integrands are
-integrated as the supremum of integrals of dominated elementary
-functions; in the finite model that supremum is reached by the
-canonical level-set form, and the dyadic staircase route recovers the
-same value once its cells separate the finitely many values.  Signed
-integrands split into positive and negative parts, with the usual
-finiteness requirement.
+per ground point by exact rationals.  The integral of a nonnegative
+integrand is the supremum of the integrals of dominated elementary
+functions.  In the finite model a measurable integrand is constant on
+each block of the measure's domain, so that supremum is the block sum
+of value times mass, with zero absorbing infinity; `integrate` computes
+exactly that, keeping the positive and negative parts apart under the
+usual finiteness requirement for signed integrands.  The canonical
+level-set staircase (`integrate_nonneg`) and the dyadic staircase route
+(`integrate_via_dyadic`) build the supremum itself and serve as oracles
+for the block sum.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .algebra import Event, Field, format_value
+from .algebra import Event, ExtValue, Field, ext_add, ext_mul, format_value
 from .condsets import ConditionalSet, PointFun, cond_intersection, cond_union
 from .measure import StableMeasure
 from .sigma import StableSigmaAlgebra
@@ -269,23 +272,11 @@ def dyadic_approximation(f: Integrand, n: int) -> ElementaryFunction:
     return ElementaryFunction(f.sigma, terms)
 
 
-def _dyadic_cells_separate(f: Integrand, n: int) -> bool:
-    """Do the n-th staircase cells see a single value of f per atom?"""
-    step = Fraction(1, 2**n)
-    cells = [
-        cond_intersection([f.level_at_least(k * step), f.level_below((k + 1) * step)])
-        for k in range(n * 2**n)
-    ]
-    cells.append(f.level_at_least(Fraction(n)))
-    for cell in cells:
-        for a in cell.support:
-            if len({f.values[a][p] for p in cell.fibers[a]}) != 1:
-                return False
-    return True
-
-
 def integrate_nonneg(f: Integrand, mu: StableMeasure) -> Field:
-    """Supremum of elementary integrals under f, exact via the canonical form."""
+    """Supremum of elementary integrals under f, exact via the canonical form.
+
+    Not on the production path: it checks the block sum of `integrate`.
+    """
     if not f.is_nonnegative():
         raise ValueError("integrate_nonneg needs a nonnegative integrand")
     return elementary_integral(canonical_elementary(f), mu)
@@ -301,8 +292,12 @@ def integrate_via_dyadic(f: Integrand, mu: StableMeasure, *, max_level: int = 64
     if not f.is_nonnegative():
         raise ValueError("dyadic integration needs a nonnegative integrand")
     for n in range(1, max_level + 1):
-        if _dyadic_cells_separate(f, n):
-            staircase = dyadic_approximation(f, n)
+        staircase = dyadic_approximation(f, n)
+        if all(
+            len({f.values[a][p] for p in cell.fibers[a]}) == 1
+            for _, cell in staircase.terms
+            for a in cell.support
+        ):
             exact_terms = []
             for _, cell in staircase.terms:
                 coef = Field(
@@ -317,17 +312,59 @@ def integrate_via_dyadic(f: Integrand, mu: StableMeasure, *, max_level: int = 64
     raise ValueError("dyadic cells failed to separate the integrand values")
 
 
+def _not_measurable(f: Integrand, mu: StableMeasure) -> ValueError:
+    """The error the level-set route raises on an integrand mu cannot measure.
+
+    It names the first level cell, of the positive part and then of the
+    negative part, that the measure's domain does not contain.
+    """
+    for part in (f.pos_part(), f.neg_part()):
+        for _, cell in canonical_elementary(part).terms:
+            if not mu.domain.contains(cell):
+                return ValueError(f"not measurable: {cell!r}")
+    return ValueError("not measurable: the measure's domain covers other ground points")
+
+
 def integrate(f: Integrand, mu: StableMeasure) -> Field:
     """Integral of a measurable integrand against a stable measure.
 
-    Nonnegative integrands may integrate to infinity; genuinely signed
-    ones must have both part integrals finite, otherwise the integrand
-    is not integrable.
+    The block sum: at each atom, the value of f on each block of the
+    measure's domain times the block's mass, with zero absorbing
+    infinity.  That is the supremum of the dominated elementary
+    integrals, which `integrate_nonneg` and `integrate_via_dyadic`
+    build as oracles.  The domain must cover every ground point and f
+    must be constant on its blocks.  Nonnegative integrands may
+    integrate to infinity; genuinely signed ones must have both part
+    integrals finite, otherwise the integrand is not integrable.
     """
-    pos = integrate_nonneg(f.pos_part(), mu)
-    if f.is_nonnegative():
-        return pos
-    neg = integrate_nonneg(f.neg_part(), mu)
-    if not (pos.is_finite() and neg.is_finite()):
+    algebra = f.sigma.algebra
+    if mu.algebra.atoms != algebra.atoms:
+        raise ValueError("fields over different algebras")
+    signed = False
+    pos: dict[str, ExtValue] = {}
+    neg: dict[str, ExtValue] = {}
+    for a in algebra.atoms:
+        row = f.values[a]
+        if mu.domain.ring_at(a).covered != row.keys():
+            raise _not_measurable(f, mu)
+        up: ExtValue = Fraction(0)
+        down: ExtValue = Fraction(0)
+        for block, m in mu.block_mass[a].items():
+            points = iter(block)
+            v = row[next(points)]
+            if any(row[p] != v for p in points):
+                raise _not_measurable(f, mu)
+            if v > 0:
+                up = ext_add(up, ext_mul(v, m))
+            elif v < 0:
+                signed = True
+                down = ext_add(down, ext_mul(-v, m))
+        pos[a] = up
+        neg[a] = down
+    positive = Field(algebra, pos)
+    if not signed:
+        return positive
+    negative = Field(algebra, neg)
+    if not (positive.is_finite() and negative.is_finite()):
         raise ValueError("not integrable: a signed part has infinite integral")
-    return pos - neg
+    return positive - negative

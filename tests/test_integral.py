@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from condmeasure import (
     INF,
     Integrand,
     StableMeasure,
+    StableRing,
     StableSigmaAlgebra,
     canonical_elementary,
     concatenate_integrands,
@@ -18,6 +20,7 @@ from condmeasure import (
     integrate_via_dyadic,
 )
 from condmeasure.integral import integrate_nonneg
+from condmeasure.verify import Draw, Size
 
 
 def mk(space, fibers):
@@ -169,3 +172,87 @@ class TestIntegration:
         assert integrate(g, mu).le(integrate(f, mu))
         lhs = integrate(f + g, mu)
         assert lhs == integrate(f, mu) + integrate(g, mu)
+
+
+def staircase_integral(f, mu):
+    """The level-set route: canonical staircases of the two parts."""
+    pos = elementary_integral(canonical_elementary(f.pos_part()), mu)
+    if f.is_nonnegative():
+        return pos
+    neg = elementary_integral(canonical_elementary(f.neg_part()), mu)
+    if not (pos.is_finite() and neg.is_finite()):
+        raise ValueError("not integrable: a signed part has infinite integral")
+    return pos - neg
+
+
+def outcome(route, f, mu):
+    try:
+        return route(f, mu)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestBlockSum:
+    """The block sum against the canonical staircase, values and errors alike."""
+
+    def test_zero_on_an_infinite_block_is_zero(self, coin_sigma):
+        heavy = StableMeasure.from_point_masses(
+            coin_sigma, {"a1": {1: INF, 2: Fraction(1)}, "a2": {1: INF, 2: INF}}
+        )
+        zero = Integrand.constant(coin_sigma, 0)
+        assert integrate(zero, heavy).is_zero()
+        assert integrate(zero, heavy) == staircase_integral(zero, heavy)
+
+    def test_signed_with_an_infinite_part_raises_as_the_staircase(self, coin_sigma):
+        heavy = StableMeasure.from_point_masses(
+            coin_sigma, {"a1": {1: Fraction(1), 2: INF}, "a2": {1: Fraction(1), 2: Fraction(1)}}
+        )
+        # only the negative part is infinite, and only on a1
+        g = Integrand(coin_sigma, {"a1": {1: Fraction(2), 2: Fraction(-1)}, "a2": {1: Fraction(1), 2: Fraction(-1)}})
+        with pytest.raises(ValueError, match="not integrable"):
+            integrate(g, heavy)
+        assert outcome(integrate, g, heavy) == outcome(staircase_integral, g, heavy)
+
+    def test_coarser_integrand_against_a_finer_measure(self, coin_space, coin_sigma):
+        coarse = StableSigmaAlgebra.trivial(coin_space)
+        mu = StableMeasure.from_point_masses(
+            coin_sigma, {"a1": {1: Fraction(1, 2), 2: Fraction(1, 3)}, "a2": {1: INF, 2: Fraction(0)}}
+        )
+        f = Integrand(coarse, {"a1": {1: Fraction(3), 2: Fraction(3)}, "a2": {1: Fraction(2), 2: Fraction(2)}})
+        assert integrate(f, mu).as_dict() == {"a1": Fraction(5, 2), "a2": INF}
+        assert integrate(f, mu) == staircase_integral(f, mu)
+
+    def test_integrand_varying_on_a_coarser_block_is_not_measurable(self, coin_space, setting):
+        _, _, f = setting
+        coarse = StableMeasure(
+            StableSigmaAlgebra.trivial(coin_space),
+            {a: {frozenset((1, 2)): Fraction(1)} for a in ("a1", "a2")},
+        )
+        with pytest.raises(ValueError, match="not measurable"):
+            integrate(f, coarse)
+        assert outcome(integrate, f, coarse) == outcome(staircase_integral, f, coarse)
+
+    def test_ring_premeasure_missing_a_point_is_not_measurable(self, coin_space, coin_sigma):
+        ring = StableRing.from_fiber_sets(coin_space, {"a1": [frozenset((1,))], "a2": [frozenset((1, 2))]})
+        pre = StableMeasure.from_point_masses(
+            ring, {"a1": {1: Fraction(1), 2: Fraction(0)}, "a2": {1: Fraction(1), 2: Fraction(1)}}
+        )
+        f = Integrand.constant(coin_sigma, 1)
+        with pytest.raises(ValueError, match="not measurable"):
+            integrate(f, pre)
+        assert outcome(integrate, f, pre) == outcome(staircase_integral, f, pre)
+
+    def test_seeded_pairs_agree_with_the_staircase(self):
+        for seed in range(300):
+            rng = random.Random(seed)
+            draw = Draw(rng)
+            cspace = draw.cspace(Size(rng.randint(1, 3), rng.randint(1, 4)))
+            sig = draw.sigma_algebra(cspace)
+            domain = rng.choice(
+                [sig, draw.sigma_algebra(cspace), StableSigmaAlgebra.discrete(cspace),
+                 StableSigmaAlgebra.trivial(cspace), draw.ring(cspace)]
+            )
+            mu = draw.measure_on(domain, allow_inf=rng.random() < 0.5)
+            f = draw.integrand(sig, nonneg=rng.random() < 0.4)
+            got, want = outcome(integrate, f, mu), outcome(staircase_integral, f, mu)
+            assert got == want, f"seed {seed}: {got!r} != {want!r}"
