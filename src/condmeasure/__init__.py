@@ -34,7 +34,6 @@ from .measure import (
     caratheodory_extend,
     check_measure_axioms,
     is_caratheodory_measurable,
-    outer_from_premeasure,
     uniqueness_check,
 )
 from .integral import (
@@ -55,7 +54,6 @@ from .kernels import (
     conditional_expectation,
     field_as_observation,
     kernel_to_measure,
-    lift_function,
     measure_to_kernel,
     pushforward,
 )

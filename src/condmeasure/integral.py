@@ -15,6 +15,7 @@ for the block sum.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -254,21 +255,27 @@ def canonical_elementary(f: Integrand) -> ElementaryFunction:
 
 
 def dyadic_approximation(f: Integrand, n: int) -> ElementaryFunction:
-    """The n-th dyadic staircase under f: steps of height 2^-n, capped at n."""
+    """The n-th dyadic staircase under f: steps of height 2^-n, capped at n.
+
+    Each value v goes to the cell of its level: floor(v * 2^n) / 2^n
+    below n, and n itself from n up.  Only the nonempty cells are
+    built, in increasing order of level.
+    """
     if n < 1:
         raise ValueError("dyadic level must be at least 1")
     if not f.is_nonnegative():
         raise ValueError("dyadic approximation needs a nonnegative integrand")
+    scale = 2**n
+    cells: dict[Fraction, dict[str, set]] = {}
+    for a, row in f.values.items():
+        for p, v in row.items():
+            level = Fraction(n) if v >= n else Fraction(math.floor(v * scale), scale)
+            cells.setdefault(level, {}).setdefault(a, set()).add(p)
     algebra = f.sigma.algebra
-    step = Fraction(1, 2**n)
-    terms = []
-    for k in range(n * 2**n):
-        cell = cond_intersection([f.level_at_least(k * step), f.level_below((k + 1) * step)])
-        if not cell.is_bottom:
-            terms.append((Field.constant(algebra, k * step), cell))
-    top_cell = f.level_at_least(Fraction(n))
-    if not top_cell.is_bottom:
-        terms.append((Field.constant(algebra, Fraction(n)), top_cell))
+    terms = [
+        (Field.constant(algebra, level), ConditionalSet(fibers.keys(), fibers))
+        for level, fibers in sorted(cells.items())
+    ]
     return ElementaryFunction(f.sigma, terms)
 
 

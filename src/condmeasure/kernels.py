@@ -196,11 +196,6 @@ def conditional_distribution(
     return StableMeasure(domain, table)
 
 
-def lift_function(sigma: StableSigmaAlgebra, f: Mapping) -> Integrand:
-    """Read a classical scalar function on ground points as an integrand."""
-    return Integrand.from_point_map(sigma, f)
-
-
 def conditional_expectation(
     sub: SubAlgebra,
     xi: PointFun,
@@ -214,7 +209,7 @@ def conditional_expectation(
     against the conditional distribution.
     """
     dist = conditional_distribution(sub, xi, space, field)
-    return integrate(lift_function(dist.domain, f), dist)
+    return integrate(Integrand.from_point_map(dist.domain, f), dist)
 
 
 def pushforward(algebra: MeasureAlgebra, xi: PointFun, space: GroundSpace) -> dict:

@@ -320,10 +320,6 @@ class OuterMeasure:
         return Field(self.algebra, values)
 
 
-def outer_from_premeasure(premeasure: StableMeasure) -> OuterMeasure:
-    return OuterMeasure(premeasure)
-
-
 def is_caratheodory_measurable(
     outer: OuterMeasure,
     v: ConditionalSet,
@@ -361,7 +357,7 @@ def caratheodory_extend(premeasure: StableMeasure) -> StableMeasure:
         for b in ring.ring_at(a).blocks:
             generator.append(ConditionalSet((a,), {a: b}))
     sigma = generate_sigma(cspace, generator)
-    outer = outer_from_premeasure(premeasure)
+    outer = OuterMeasure(premeasure)
     table: dict[str, dict[frozenset, ExtValue]] = {}
     for a in cspace.algebra.atoms:
         table[a] = {}

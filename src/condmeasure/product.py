@@ -1,10 +1,13 @@
 """Products of stable measures, iterated integrals and exact densities.
 
-Product sigma-algebras carry rectangle blocks per atom; product
-measures are defined the stable way, by integrating the section-mass
-integrand, and agree with the classical product fiber by fiber.  On
-top of that sit the swap of iterated integrals, products against
-Markov kernels, the positive-set construction for differences of
+Product sigma-algebras carry rectangle blocks per atom.  The paper
+defines the product measure, and the joint law of a source measure
+with a Markov kernel, by integrating section masses; in the finite
+model that integral collapses on each rectangle block to the left
+block mass times the right mass of the section, which is how both are
+built here.  The section-mass integrand stays available as the
+definition the closed form is checked against.  On top of that sit
+the swap of iterated integrals, the positive set of a difference of
 measures, exact density recovery with a full certificate, one
 improvement step of the density-climbing argument, and the finite
 representation of positive stable linear functionals as integrals.
@@ -73,22 +76,37 @@ def section_mass_integrand(z: ConditionalSet, nu: StableMeasure, sx: StableSigma
     return Integrand(sx, values)
 
 
+def _rectangle_measure(
+    mu: StableMeasure,
+    sy: StableSigmaAlgebra,
+    right_mass: Callable[[str, frozenset, frozenset], Fraction],
+) -> StableMeasure:
+    """Mass mu(bx) * right_mass(a, bx, by) on each rectangle block bx x by, per atom."""
+    sx = mu.domain
+    psigma = product_sigma(sx, sy)
+    table: dict[str, dict[frozenset, Fraction]] = {}
+    for a in psigma.algebra.atoms:
+        mass = {
+            frozenset((p, q) for p in bx for q in by): ext_mul(mu.block_mass[a][bx], right_mass(a, bx, by))
+            for bx in sx.blocks(a)
+            for by in sy.blocks(a)
+        }
+        table[a] = {b: mass[b] for b in psigma.blocks(a)}
+    return StableMeasure(psigma, table)
+
+
 def product_measure(mu: StableMeasure, nu: StableMeasure) -> StableMeasure:
-    """Product of two finite stable measures, built by section integration."""
+    """Product of two finite stable measures: mu(bx) * nu(by) on each rectangle.
+
+    This is the integral of the section-mass integrand of the rectangle
+    against mu, taken block by block.
+    """
     sx, sy = mu.domain, nu.domain
     if not isinstance(sx, StableSigmaAlgebra) or not isinstance(sy, StableSigmaAlgebra):
         raise ValueError("product factors must live on sigma-algebras")
     if not (mu.is_finite() and nu.is_finite()):
         raise ValueError("product needs finite factors")
-    psigma = product_sigma(sx, sy)
-    table: dict[str, dict[frozenset, Fraction]] = {}
-    for a in psigma.algebra.atoms:
-        table[a] = {}
-        for b in psigma.blocks(a):
-            z = ConditionalSet((a,), {a: b})
-            s = section_mass_integrand(z, nu, sx)
-            table[a][b] = integrate(s, mu)[a]
-    return StableMeasure(psigma, table)
+    return _rectangle_measure(mu, sy, lambda a, bx, by: nu.block_mass[a][by])
 
 
 def fubini(f: Integrand, mu: StableMeasure, nu: StableMeasure) -> tuple[Field, Field, Field]:
@@ -144,68 +162,36 @@ class StableMarkovKernel:
 
 
 def markov_product(kernel: StableMarkovKernel, mu: StableMeasure) -> StableMeasure:
-    """Joint measure of source and transition: integrate the kernel over sections."""
+    """Joint law of source and transition: mu(bx) * K(p, by) on each rectangle.
+
+    This is the integral of the kernel's section masses against mu;
+    rows are constant on left blocks, so any point p of bx will do.
+    """
     sx = mu.domain
     if sx != kernel.sx:
         raise ValueError("kernel left factor must match the measure domain")
     if not mu.is_finite():
         raise ValueError("joint construction needs a finite source")
-    psigma = product_sigma(sx, kernel.sy)
-    table: dict[str, dict[frozenset, Fraction]] = {}
-    for a in psigma.algebra.atoms:
-        table[a] = {}
-        for b in psigma.blocks(a):
-            values: dict[str, dict] = {}
-            for aa in sx.algebra.atoms:
-                row = {}
-                for p in sx.space.points:
-                    if aa == a:
-                        ys = frozenset(q for (pp, q) in b if pp == p)
-                        row[p] = kernel.row_mass(aa, p, ys)
-                    else:
-                        row[p] = Fraction(0)
-                values[aa] = row
-            table[a][b] = integrate(Integrand(sx, values), mu)[a]
-    return StableMeasure(psigma, table)
+    return _rectangle_measure(mu, kernel.sy, lambda a, bx, by: kernel.row_mass(a, next(iter(bx)), by))
 
 
 def hahn_positive_set(mu1: StableMeasure, mu2: StableMeasure) -> ConditionalSet:
     """The largest region where mu2 dominates mu1.
 
-    Iterates the exhaustion argument: find the event where the current
-    candidate is already nonnegative for the difference, carve the
-    worst-mass culprit set out everywhere else, repeat.  Ends with the
-    union of the difference-nonnegative blocks on each atom.
+    The exhaustion argument carves the negative part out of every atom
+    in one step, because both measures are block-additive: what is left
+    on each atom is the union of the blocks where mu2 - mu1 >= 0.
     """
     domain = mu1.domain
     if not isinstance(domain, StableSigmaAlgebra) or domain != mu2.domain:
         raise ValueError("both measures must live on one sigma-algebra")
     if not (mu1.is_finite() and mu2.is_finite()):
         raise ValueError("signed comparison needs finite measures")
-    algebra = domain.algebra
-    diff = {
-        a: {b: Fraction(mu2.block_mass[a][b]) - Fraction(mu1.block_mass[a][b]) for b in domain.blocks(a)}
-        for a in algebra.atoms
-    }
-    candidate: dict[str, set] = {a: set(domain.blocks(a)) for a in algebra.atoms}
-    while True:
-        def settled(ev) -> bool:
-            return all(
-                all(diff[a][b] >= 0 for b in candidate[a]) for a in ev
-            )
-
-        done = algebra.largest_event(settled)
-        rest = [a for a in algebra.atoms if a not in done]
-        if not rest:
-            break
-        # Worst culprit inside the candidate: the union of its negative blocks.
-        for a in rest:
-            candidate[a] = {b for b in candidate[a] if diff[a][b] >= 0}
     fibers = {}
-    for a in algebra.atoms:
-        pts = frozenset().union(*candidate[a]) if candidate[a] else frozenset()
-        if pts:
-            fibers[a] = pts
+    for a in domain.algebra.atoms:
+        keep = [b for b in domain.blocks(a) if mu2.block_mass[a][b] >= mu1.block_mass[a][b]]
+        if keep:
+            fibers[a] = frozenset().union(*keep)
     return ConditionalSet(fibers.keys(), fibers)
 
 

@@ -18,8 +18,8 @@ from typing import Any, Mapping
 from . import classical
 from .algebra import ExtValue, Field, MeasureAlgebra, ext_mul, ext_sum, format_value, parse_value
 from .condsets import CondSpace, ConditionalSet, GroundSpace, cartesian_product, product_space
-from .integral import integrate
-from .kernels import SubAlgebra, conditional_distribution, conditional_expectation, lift_function
+from .integral import Integrand, integrate
+from .kernels import SubAlgebra, conditional_distribution, conditional_expectation
 from .measure import StableMeasure, caratheodory_extend
 from .product import (
     StableMarkovKernel,
@@ -503,7 +503,7 @@ def _q_integral(scn: Scenario, q: Mapping, where: str) -> QueryResult:
     if missing:
         raise ScenarioError(f"{where}: function misses points {sorted(map(str, missing))}")
     try:
-        got = integrate(lift_function(mu.domain, fmap), mu)
+        got = integrate(Integrand.from_point_map(mu.domain, fmap), mu)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
     pm = _rep_point_masses(scn, mname)
@@ -617,7 +617,7 @@ def _q_fubini(scn: Scenario, q: Mapping, where: str) -> QueryResult:
         raise ScenarioError(f"{where}: both factors need sigma-algebra domains")
     psigma = product_sigma(mu.domain, nu.domain)
     try:
-        f = lift_function(psigma, fmap)
+        f = Integrand.from_point_map(psigma, fmap)
         left, right, joint = fubini(f, mu, nu)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None

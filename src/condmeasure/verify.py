@@ -32,7 +32,7 @@ from .condsets import (
 )
 from .integral import ElementaryFunction, Integrand, canonical_elementary, concatenate_integrands, elementary_integral, indicator
 from .kernels import SubAlgebra, field_as_observation
-from .measure import OuterMeasure, StableMeasure, check_measure_axioms, outer_from_premeasure, sample_members, uniqueness_check
+from .measure import OuterMeasure, StableMeasure, check_measure_axioms, sample_members, uniqueness_check
 from .sigma import (
     StableFunction,
     StableRing,
@@ -313,7 +313,7 @@ def _case_outer(draw: Draw, size: Size) -> None:
     cspace = draw.cspace(size)
     ring = draw.ring(cspace)
     pre = draw.measure_on(ring, allow_inf=draw.rng.random() < 0.25)
-    outer = outer_from_premeasure(pre)
+    outer = OuterMeasure(pre)
     v, w = draw.cset(cspace), draw.cset(cspace)
 
     ev = draw.event(cspace.algebra)
@@ -344,7 +344,7 @@ def _case_caratheodory(draw: Draw, size: Size) -> None:
     cspace = draw.cspace(size)
     ring = draw.ring(cspace)
     pre = draw.measure_on(ring, allow_inf=draw.rng.random() < 0.2)
-    outer = outer_from_premeasure(pre)
+    outer = OuterMeasure(pre)
     ext = measure.caratheodory_extend(pre)
 
     # ring members split everything additively and keep their pre-measure mass
@@ -564,16 +564,13 @@ def _case_markov(draw: Draw, size: Size) -> None:
             for p in bx:
                 rows[a][p] = row
     kernel = products.StableMarkovKernel(sx, sy, rows)
-    mu = StableMeasure.from_point_masses(sx, draw.point_masses(cspace, probability=True))
+    pm = draw.point_masses(cspace, probability=True)
+    mu = StableMeasure.from_point_masses(sx, pm)
     joint = products.markov_product(kernel, mu)
-    # joint block mass: source block mass times the transition row mass
+    # joint block mass: the classical pointwise sum of source mass times transition
     for a in algebra.atoms:
         for b in joint.domain.blocks(a):
-            want = Fraction(0)
-            for bx in sx.blocks(a):
-                p0 = next(iter(bx))
-                ys = frozenset(q for (p, q) in b if p == p0)
-                want += Fraction(mu.block_mass[a][bx]) * kernel.row_mass(a, p0, ys)
+            want = sum((pm[a][p] * rows[a][p][q] for (p, q) in b), Fraction(0))
             assert joint.block_mass[a][b] == want, f"joint mass at {a}"
     # marginal: the first coordinate keeps the source law
     full_y = ConditionalSet(algebra.atoms, {a: spy.point_set for a in algebra.atoms})

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from condmeasure import (
+    CondSpace,
     ElementaryFunction,
     Field,
+    GroundSpace,
     INF,
     Integrand,
     StableMeasure,
@@ -15,6 +17,8 @@ from condmeasure import (
     concatenate_integrands,
     dyadic_approximation,
     elementary_integral,
+    MeasureAlgebra,
+    cond_intersection,
     indicator,
     integrate,
     integrate_via_dyadic,
@@ -256,3 +260,37 @@ class TestBlockSum:
             f = draw.integrand(sig, nonneg=rng.random() < 0.4)
             got, want = outcome(integrate, f, mu), outcome(staircase_integral, f, mu)
             assert got == want, f"seed {seed}: {got!r} != {want!r}"
+
+
+def level_set_dyadic(f, n):
+    """The dyadic staircase by level sets: one cell per step, empty ones dropped."""
+    algebra = f.sigma.algebra
+    step = Fraction(1, 2**n)
+    terms = []
+    for k in range(n * 2**n):
+        cell = cond_intersection([f.level_at_least(k * step), f.level_below((k + 1) * step)])
+        if not cell.is_bottom:
+            terms.append((Field.constant(algebra, k * step), cell))
+    top_cell = f.level_at_least(Fraction(n))
+    if not top_cell.is_bottom:
+        terms.append((Field.constant(algebra, Fraction(n)), top_cell))
+    return terms
+
+
+class TestDyadicBuckets:
+    def test_buckets_match_the_level_sets(self):
+        for seed in range(100):
+            rng = random.Random(seed)
+            draw = Draw(rng)
+            sig = draw.sigma_algebra(draw.cspace(Size(rng.randint(1, 3), rng.randint(1, 4))))
+            f = draw.integrand(sig, nonneg=True)
+            for n in (1, 2, 3, 4):
+                assert list(dyadic_approximation(f, n).terms) == level_set_dyadic(f, n), f"seed {seed}, level {n}"
+
+    def test_a_tiny_value_gap_integrates_exactly(self):
+        algebra = MeasureAlgebra([("a1", Fraction(1))])
+        sigma = StableSigmaAlgebra.discrete(CondSpace(algebra, GroundSpace((1, 2))))
+        mu = StableMeasure.from_point_masses(sigma, {"a1": {1: Fraction(1, 3), 2: Fraction(2, 3)}})
+        f = Integrand(sigma, {"a1": {1: Fraction(0), 2: Fraction(1, 2**20)}})
+        assert integrate_via_dyadic(f, mu).as_dict() == {"a1": Fraction(2, 3 * 2**20)}
+        assert integrate_via_dyadic(f, mu) == integrate(f, mu)

@@ -7,6 +7,7 @@ from condmeasure import (
     Field,
     GroundSpace,
     INF,
+    Integrand,
     MeasureAlgebra,
     StableMeasure,
     StableSigmaAlgebra,
@@ -15,7 +16,6 @@ from condmeasure import (
     conditional_expectation,
     field_as_observation,
     kernel_to_measure,
-    lift_function,
     measure_to_kernel,
     pushforward,
 )
@@ -152,5 +152,5 @@ class TestObservationFromField:
 
     def test_lift_function_spreads_over_atoms(self, coin_space):
         sigma = StableSigmaAlgebra.discrete(coin_space)
-        f = lift_function(sigma, {1: Fraction(0), 2: Fraction(5)})
+        f = Integrand.from_point_map(sigma, {1: Fraction(0), 2: Fraction(5)})
         assert f.value("a1", 2) == 5 and f.value("a2", 2) == 5

@@ -8,13 +8,13 @@ from condmeasure import (
     GroundSpace,
     INF,
     MeasureAlgebra,
+    OuterMeasure,
     StableMeasure,
     StableRing,
     StableSigmaAlgebra,
     caratheodory_extend,
     check_measure_axioms,
     is_caratheodory_measurable,
-    outer_from_premeasure,
     uniqueness_check,
 )
 from condmeasure.measure import sample_members
@@ -126,24 +126,24 @@ class TestStableMeasure:
 
 class TestOuterMeasure:
     def test_agrees_with_premeasure_on_ring(self, trio, partial_ring, premeasure):
-        outer = outer_from_premeasure(premeasure)
+        outer = OuterMeasure(premeasure)
         v = mk(trio, {"a1": {1}})
         assert outer.evaluate(v)["a1"] == Fraction(1, 2)
         assert outer.evaluate(trio.bottom).is_zero()
 
     def test_cheapest_cover_wins(self, trio, premeasure):
-        outer = outer_from_premeasure(premeasure)
+        outer = OuterMeasure(premeasure)
         # {1} at a2 is not a ring member; its only cover is the block {1,2}
         assert outer.evaluate(mk(trio, {"a2": {1}}))["a2"] == Fraction(3, 4)
 
     def test_uncoverable_region_is_infinite(self, trio, premeasure):
-        outer = outer_from_premeasure(premeasure)
+        outer = OuterMeasure(premeasure)
         v = mk(trio, {"a1": {1, 3}, "a2": {1}})
         assert outer.evaluate(v)["a1"] is INF
         assert outer.coverable_event(v) == frozenset({"a2"})
 
     def test_localization_and_subadditivity(self, trio, premeasure):
-        outer = outer_from_premeasure(premeasure)
+        outer = OuterMeasure(premeasure)
         v = mk(trio, {"a1": {1}, "a2": {1, 2}})
         w = mk(trio, {"a1": {2}, "a2": {2}})
         assert outer.evaluate(v.restrict(frozenset({"a1"}))) == outer.evaluate(v).restrict(frozenset({"a1"}))
@@ -151,7 +151,7 @@ class TestOuterMeasure:
         assert union.le(outer.evaluate(v) + outer.evaluate(w))
 
     def test_splitting_detects_non_measurable_set(self, trio, premeasure):
-        outer = outer_from_premeasure(premeasure)
+        outer = OuterMeasure(premeasure)
         member = mk(trio, {"a1": {1}})
         half_block = mk(trio, {"a2": {1}})
         assert is_caratheodory_measurable(outer, member)

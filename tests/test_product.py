@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from condmeasure import (
     BOTTOM,
     CondSpace,
+    ConditionalSet,
     GroundSpace,
     Integrand,
     MeasureAlgebra,
@@ -17,14 +19,15 @@ from condmeasure import (
     hahn_positive_set,
     indicator,
     integrate,
-    lift_function,
     markov_product,
     product_measure,
     product_sigma,
     radon_nikodym,
     rn_improvement_step,
     section_at,
+    section_mass_integrand,
 )
+from condmeasure.verify import Draw, Size
 
 
 def mk(space, fibers):
@@ -100,7 +103,7 @@ class TestFubini:
         sigma, mu, _ = pair_setting
         psigma = product_sigma(sigma, sigma)
         diag = {(p, q): Fraction(1 if p == q else 0) for p in (1, 2) for q in (1, 2)}
-        f = lift_function(psigma, diag)
+        f = Integrand.from_point_map(psigma, diag)
         left, right, joint = fubini(f, mu, mu)
         assert left.as_dict() == right.as_dict() == joint.as_dict() == {"a1": Fraction(1, 2), "a2": Fraction(1, 2)}
 
@@ -144,6 +147,74 @@ class TestMarkov:
                 sigma,
                 {a: {p: {1: Fraction(1, 2), 2: Fraction(1, 4)} for p in (1, 2)} for a in ("a1", "a2")},
             )
+
+
+def seeded_factors(seed):
+    """A left and a right factor over one algebra, each sigma-algebra
+    independently drawn, discrete or trivial, so either side can be the
+    coarser one."""
+    rng = random.Random(seed)
+    draw = Draw(rng)
+    left = draw.cspace(Size(rng.randint(1, 3), rng.randint(1, 4)))
+    right = CondSpace(left.algebra, draw.space(rng.randint(1, 3)))
+
+    def some_sigma(cspace):
+        return rng.choice(
+            [draw.sigma_algebra(cspace), StableSigmaAlgebra.discrete(cspace), StableSigmaAlgebra.trivial(cspace)]
+        )
+
+    return rng, draw, some_sigma(left), some_sigma(right)
+
+
+class TestRectangleMass:
+    """Both products against routes that do not take the rectangle shortcut."""
+
+    def test_product_measure_is_the_section_integral(self):
+        zero_blocks = 0
+        for seed in range(200):
+            rng, draw, sx, sy = seeded_factors(seed)
+            mu = draw.measure_on(sx)
+            nu = StableMeasure.zero(sy) if rng.random() < 0.1 else draw.measure_on(sy)
+            joint = product_measure(mu, nu)
+            for a in sx.algebra.atoms:
+                for b in joint.domain.blocks(a):
+                    s = section_mass_integrand(ConditionalSet((a,), {a: b}), nu, sx)
+                    want = integrate(s, mu)[a]
+                    assert joint.block_mass[a][b] == want, f"seed {seed}, atom {a}"
+                    zero_blocks += want == 0
+        assert zero_blocks > 0
+
+    def test_markov_product_is_the_pointwise_sum(self):
+        for seed in range(200):
+            rng, draw, sx, sy = seeded_factors(seed)
+            rows = {}
+            for a in sx.algebra.atoms:
+                rows[a] = {}
+                for bx in sx.blocks(a):
+                    raw = [rng.randint(0, 3) for _ in sy.space.points]
+                    if sum(raw) == 0:
+                        raw[0] = 1
+                    row = {q: Fraction(w, sum(raw)) for q, w in zip(sy.space.points, raw)}
+                    rows[a].update({p: row for p in bx})
+            pm = draw.point_masses(sx.cspace)
+            joint = markov_product(StableMarkovKernel(sx, sy, rows), StableMeasure.from_point_masses(sx, pm))
+            for a in sx.algebra.atoms:
+                for b in joint.domain.blocks(a):
+                    want = sum((pm[a][p] * rows[a][p][q] for (p, q) in b), Fraction(0))
+                    assert joint.block_mass[a][b] == want, f"seed {seed}, atom {a}"
+
+    def test_constant_kernel_is_the_product_measure(self):
+        for seed in range(100):
+            _, draw, sx, sy = seeded_factors(seed)
+            discrete = StableSigmaAlgebra.discrete(sy.cspace)
+            nu_points = draw.point_masses(sy.cspace, probability=True)
+            nu = StableMeasure.from_point_masses(discrete, nu_points)
+            rows = {a: {p: nu_points[a] for p in sx.space.points} for a in sx.algebra.atoms}
+            mu = draw.measure_on(sx)
+            joint = markov_product(StableMarkovKernel(sx, discrete, rows), mu)
+            want = product_measure(mu, nu)
+            assert joint.domain == want.domain
+            assert joint.block_mass == want.block_mass, f"seed {seed}"
 
 
 class TestHahn:
