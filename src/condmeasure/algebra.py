@@ -184,21 +184,6 @@ class MeasureAlgebra:
     def prob(self, event: Event) -> Fraction:
         return sum((self.weights[a] for a in self.event(event)), Fraction(0))
 
-    def sup_event(self, family: Iterable[Event]) -> Event:
-        out: set[str] = set()
-        for ev in family:
-            out |= self.event(ev)
-        return frozenset(out)
-
-    def inf_event(self, family: Iterable[Event]) -> Event:
-        events = [self.event(ev) for ev in family]
-        if not events:
-            return self.top
-        out = set(events[0])
-        for ev in events[1:]:
-            out &= ev
-        return frozenset(out)
-
     def largest_event(self, pred: Callable[[Event], bool], *, verify: bool = False) -> Event:
         """Largest event satisfying an atom-local, union-closed predicate.
 
@@ -242,11 +227,6 @@ class MeasureAlgebra:
             for a in ev:
                 values[a] = f[a]
         return Field(self, values)
-
-    def format_event(self, event: Event) -> str:
-        ev = self.event(event)
-        return "{" + ",".join(a for a in self.atoms if a in ev) + "}"
-
 
 class Field:
     """An atom-indexed vector of exact values.

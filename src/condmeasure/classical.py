@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import INF, ExtValue, ext_add, ext_mul, ext_sub, ext_sum
+from .algebra import INF, ExtValue, ext_mul, ext_sub, ext_sum
 
 
 def mass_of(point_masses: Mapping, subset: Iterable) -> ExtValue:
@@ -29,39 +29,6 @@ def blocks_from_sets(universe: frozenset, sets: Iterable[frozenset]) -> frozense
         sig = tuple(p in s for s in gens)
         by_sig.setdefault(sig, set()).add(p)
     return frozenset(frozenset(b) for b in by_sig.values())
-
-
-def field_members(universe: frozenset, sets: Iterable[frozenset]) -> frozenset:
-    """The field of sets generated by the given subsets: all unions of blocks."""
-    blocks = sorted(blocks_from_sets(universe, sets), key=lambda b: sorted(map(str, b)))
-    members = set()
-    for mask in range(1 << len(blocks)):
-        members.add(frozenset().union(*(b for i, b in enumerate(blocks) if mask >> i & 1)))
-    return frozenset(members)
-
-
-def ring_close(sets: Iterable[frozenset]) -> frozenset:
-    """Closure under union and difference, always containing the empty set."""
-    members = set(map(frozenset, sets))
-    members.add(frozenset())
-    while True:
-        fresh = set()
-        pairs = list(members)
-        for a in pairs:
-            for b in pairs:
-                for c in (a | b, a - b):
-                    if c not in members:
-                        fresh.add(c)
-        if not fresh:
-            return frozenset(members)
-        members |= fresh
-
-
-def is_ring(members: Iterable[frozenset]) -> bool:
-    ms = set(map(frozenset, members))
-    if frozenset() not in ms:
-        return False
-    return all(a | b in ms and a - b in ms for a in ms for b in ms)
 
 
 def outer_mass(ring_masses: Mapping[frozenset, ExtValue], target: frozenset) -> ExtValue:

@@ -80,9 +80,6 @@ class ConditionalSet:
     def __setattr__(self, name, value):
         raise AttributeError("ConditionalSet is immutable")
 
-    def fiber(self, atom: str) -> frozenset:
-        return self.fibers[atom]
-
     @property
     def is_bottom(self) -> bool:
         return not self.support

@@ -129,15 +129,38 @@ class ScenarioReport:
 # ---------------------------------------------------------------------------
 # loading and validation
 
+#: Each named section is an object of entries; the JSON type of an entry.
+_ENTRY_SHAPES: dict[str, tuple[Any, str]] = {
+    "sigma_algebras": ((Mapping, str), "an object or a string"),
+    "rings": (Mapping, "an object"),
+    "measures": (Mapping, "an object"),
+    "observations": (Mapping, "an object"),
+    "subalgebras": (list, "a list"),
+    "functions": (Mapping, "an object"),
+    "kernels": (Mapping, "an object"),
+}
+
+
+def _check_shapes(doc: Mapping) -> None:
+    """Check the JSON type of each section and entry before the loaders index into them."""
+    atoms = _require(doc, "atoms", "scenario")
+    if not isinstance(atoms, (Mapping, list)):
+        raise ScenarioError("atoms: expected an object or a list of [name, weight] pairs")
+    for i, entry in enumerate(atoms if isinstance(atoms, list) else ()):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ScenarioError(f"atoms[{i}]: expected a [name, weight] pair, got {json.dumps(entry)}")
+    for section, (types, expected) in _ENTRY_SHAPES.items():
+        entries = doc.get(section, {})
+        if not isinstance(entries, Mapping):
+            raise ScenarioError(f"{section}: expected an object of named entries, got {json.dumps(entries)}")
+        for name, entry in entries.items():
+            if not isinstance(entry, types):
+                raise ScenarioError(f"{section}.{name}: expected {expected}, got {json.dumps(entry)}")
+
 
 def _load_algebra(doc: Mapping) -> MeasureAlgebra:
-    raw = _require(doc, "atoms", "scenario")
-    if isinstance(raw, Mapping):
-        items = list(raw.items())
-    elif isinstance(raw, list):
-        items = [(str(a), w) for a, w in raw]
-    else:
-        raise ScenarioError("atoms: expected an object or a list of [name, weight] pairs")
+    raw = doc["atoms"]
+    items = list(raw.items()) if isinstance(raw, Mapping) else [(str(a), w) for a, w in raw]
     try:
         return MeasureAlgebra([(a, _finite(w, f"atoms.{a}")) for a, w in items])
     except ValueError as exc:
@@ -246,6 +269,7 @@ def load_scenario(path: str) -> Scenario:
 
 
 def build_scenario(doc: Mapping) -> Scenario:
+    _check_shapes(doc)
     algebra = _load_algebra(doc)
     spaces = {"ground": _load_space(_require(doc, "ground", "scenario"), "ground")}
     if "ground2" in doc:

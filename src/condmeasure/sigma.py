@@ -12,17 +12,15 @@ through classical signature partitions for cross-checking.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import classical
-from .algebra import Event, MeasureAlgebra
+from .algebra import MeasureAlgebra
 from .condsets import (
-    BOTTOM,
     CondSpace,
     ConditionalSet,
     GroundSpace,
     Point,
-    PointFun,
     cond_intersection,
     cond_union,
 )
@@ -84,11 +82,6 @@ class SetRing:
 
     def member_count(self) -> int:
         return 1 << len(self.blocks)
-
-    def blocks_inside(self, s: frozenset) -> tuple:
-        if not self.contains(s):
-            raise ValueError("not a member of this ring")
-        return tuple(b for b in self.blocks if b <= s)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SetRing):
@@ -166,11 +159,6 @@ class StableRing(_PerAtomFamily):
     @classmethod
     def from_fiber_sets(cls, cspace: CondSpace, per_atom_sets: Mapping[str, Iterable[frozenset]]) -> "StableRing":
         per_atom = {a: SetRing.generated(list(per_atom_sets.get(a, ()))) for a in cspace.algebra.atoms}
-        return cls(cspace, per_atom)
-
-    @classmethod
-    def from_member_lists(cls, cspace: CondSpace, per_atom_members: Mapping[str, Iterable[frozenset]]) -> "StableRing":
-        per_atom = {a: SetRing.from_members(list(per_atom_members[a])) for a in cspace.algebra.atoms}
         return cls(cspace, per_atom)
 
     def __repr__(self) -> str:
@@ -400,9 +388,6 @@ class StableFunction:
     @classmethod
     def same_on_all_atoms(cls, atoms: Sequence[str], m: Mapping[Point, Point]) -> "StableFunction":
         return cls({a: m for a in atoms})
-
-    def apply(self, x: PointFun) -> dict:
-        return {a: self.maps[a][x[a]] for a in self.maps}
 
     def __repr__(self) -> str:
         return f"StableFunction(atoms={sorted(self.maps)})"

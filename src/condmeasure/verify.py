@@ -340,6 +340,15 @@ def _case_outer(draw: Draw, size: Size) -> None:
             assert val[a] is not INF, f"coverability at {a}: {v!r}"
 
 
+def _splits_additively(outer: OuterMeasure, v: ConditionalSet, tests: Sequence[ConditionalSet]) -> bool:
+    """Carathéodory's definition: v cuts every test set additively."""
+    return all(
+        outer.evaluate(w)
+        == outer.evaluate(condsets.cond_intersection([w, v])) + outer.evaluate(condsets.cond_difference(w, v))
+        for w in tests
+    )
+
+
 def _case_caratheodory(draw: Draw, size: Size) -> None:
     cspace = draw.cspace(size)
     ring = draw.ring(cspace)
@@ -347,10 +356,17 @@ def _case_caratheodory(draw: Draw, size: Size) -> None:
     outer = OuterMeasure(pre)
     ext = measure.caratheodory_extend(pre)
 
-    # ring members split everything additively and keep their pre-measure mass
+    # the block-local test against the splitting definition; a split block
+    # is its own failing test, so adding every single-atom ring block to
+    # the drawn tests makes the definition exact
     v = draw.cset(cspace)
+    tests = [draw.cset(cspace) for _ in range(12)]
+    tests += [ConditionalSet((a,), {a: b}) for a in cspace.algebra.atoms for b in ring.ring_at(a).blocks]
+    measurable = measure.is_caratheodory_measurable(outer, v)
+    assert measurable == _splits_additively(outer, v, tests), f"measurability of {v!r}: local test says {measurable}"
+    # ring members are measurable and keep their pre-measure mass
     if ring.contains(v):
-        assert measure.is_caratheodory_measurable(outer, v, tests=[draw.cset(cspace) for _ in range(12)])
+        assert measurable, f"ring member {v!r} reported not measurable"
         assert ext.eval(v) == pre.eval(v), f"extension disagrees on ring member {v!r}"
     # extension blocks match the classical fiberwise extension
     for a in cspace.algebra.atoms:
@@ -789,6 +805,17 @@ def _broken_outer_evaluate(self: OuterMeasure, v: ConditionalSet) -> Field:
     return Field(out.algebra, {a: (Fraction(0) if out[a] is INF else out[a]) for a in out.algebra.atoms})
 
 
+_original_measurable = measure.is_caratheodory_measurable
+
+
+def _broken_measurable(outer: OuterMeasure, v: ConditionalSet) -> bool:
+    # also rejects sets that reach points no ring block covers
+    ring = outer.premeasure.domain
+    if any(not v.fibers[a] <= ring.ring_at(a).covered for a in v.support):
+        return False
+    return _original_measurable(outer, v)
+
+
 _original_dyadic = integral.dyadic_approximation
 
 
@@ -827,6 +854,11 @@ FAULTS: dict[str, tuple[str, Callable, str]] = {
         "outer measure reports zero instead of infinity off the coverable event",
         _swap(OuterMeasure, "evaluate", _broken_outer_evaluate),
         "outer",
+    ),
+    "caratheodory-rejects-uncovered": (
+        "Caratheodory test also rejects sets reaching points the ring does not cover",
+        _swap(measure, "is_caratheodory_measurable", _broken_measurable),
+        "caratheodory",
     ),
     "dyadic-ceil": (
         "dyadic staircase rounds up and overshoots the integrand",

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -47,6 +48,34 @@ class TestRun:
         assert cli.main(["run", str(p)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, value, location",
+        [
+            ("rings", {"R": [1]}, "rings.R"),
+            ("measures", {"rho": 5}, "measures.rho"),
+            ("sigma_algebras", [1], "sigma_algebras"),
+            ("observations", {"seen": 1}, "observations.seen"),
+            ("functions", {"f": 1}, "functions.f"),
+            ("subalgebras", {"groups": 1}, "subalgebras.groups"),
+            ("kernels", {"step": 1}, "kernels.step"),
+            ("atoms", [["a", 1, 2]], "atoms[0]"),
+        ],
+    )
+    def test_misshapen_section_is_a_named_error(self, tmp_path, section, value, location):
+        doc = json.loads(Path(scenario("coverage")).read_text())
+        doc[section] = value
+        path = tmp_path / "misshapen.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "condmeasure.cli", "run", str(path)],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {location}: expected ")
+
     def test_broken_implementation_fails_verification(self, capsys):
         # a query whose oracle disagrees must flip the exit code, not crash
         with verify.inject_fault("cond-expect-unnormalized"):
@@ -80,6 +109,11 @@ class TestVerify:
         assert f"fault injected: {fault}" in out
         assert f"suite {paired}: FAILED" in out
         assert "1 of 1 suites FAILED" in out
+
+    def test_caratheodory_fault_is_caught_at_the_acceptance_seed(self, capsys):
+        args = ["verify", "--suite", "caratheodory", "--seed", "42", "--cases", "100"]
+        assert cli.main(args + ["--fault", "caratheodory-rejects-uncovered"]) == 3
+        assert "suite caratheodory: FAILED" in capsys.readouterr().out
 
     def test_seed_from_environment(self, monkeypatch, capsys):
         monkeypatch.setenv("CMS_SEED", "9")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from condmeasure import (
     BOTTOM,
     CondSpace,
+    ConditionalSet,
     GroundSpace,
     INF,
     MeasureAlgebra,
@@ -14,11 +16,17 @@ from condmeasure import (
     StableSigmaAlgebra,
     caratheodory_extend,
     check_measure_axioms,
+    cond_difference,
+    cond_intersection,
+    generate_sigma,
     is_caratheodory_measurable,
     uniqueness_check,
 )
 from condmeasure.measure import sample_members
 from condmeasure.sigma import SetRing, mix_closure
+
+#: Block masses drawn by the seeded tests: zero, finite positive, infinite.
+MASSES = (Fraction(0), Fraction(1, 3), Fraction(2), INF)
 
 
 def mk(space, fibers):
@@ -157,6 +165,38 @@ class TestOuterMeasure:
         assert is_caratheodory_measurable(outer, member)
         assert not is_caratheodory_measurable(outer, half_block)
 
+    def test_local_test_is_the_splitting_definition(self):
+        """On 200 seeded pre-measures, the block-local verdict equals
+        additive splitting of every conditional set, for every set."""
+        rng = random.Random(5)
+        seen = {"zero block": 0, "infinite block": 0, "uncovered point": 0, "off support": 0}
+        verdicts = {True: 0, False: 0}
+        for _ in range(200):
+            n_atoms, n_points = rng.choice(((1, 2), (1, 3), (1, 4), (2, 2), (2, 3)))
+            algebra = MeasureAlgebra.uniform([f"a{i}" for i in range(n_atoms)])
+            cspace = CondSpace(algebra, GroundSpace(tuple(range(n_points))))
+            per_atom, masses = {}, {}
+            for a in algebra.atoms:
+                labels = {p: rng.randrange(3) for p in cspace.space.points}
+                blocks = [frozenset(p for p in labels if labels[p] == k) for k in (1, 2)]
+                per_atom[a] = SetRing([b for b in blocks if b])
+                masses[a] = {b: rng.choice(MASSES) for b in per_atom[a].blocks}
+                seen["uncovered point"] += 0 in labels.values()
+                seen["zero block"] += any(m == 0 for m in masses[a].values())
+                seen["infinite block"] += any(m is INF for m in masses[a].values())
+            outer = OuterMeasure(StableMeasure(StableRing(cspace, per_atom), masses))
+            sets = list(cspace.all_sets())
+            value = {w: outer.evaluate(w) for w in sets}
+            for v in sets:
+                splits = all(
+                    value[w] == value[cond_intersection([w, v])] + value[cond_difference(w, v)] for w in sets
+                )
+                got = is_caratheodory_measurable(outer, v)
+                assert got is splits, f"{v!r} under {outer.premeasure!r}"
+                verdicts[got] += 1
+                seen["off support"] += v.support != frozenset(algebra.atoms)
+        assert all(seen.values()) and all(verdicts.values()), (seen, verdicts)
+
 
 class TestCaratheodoryExtension:
     def test_extension_blocks_and_masses(self, trio, premeasure):
@@ -231,6 +271,54 @@ class TestUniqueness:
         mu = StableMeasure(sig, {a: {frozenset({1, 2, 3}): INF} for a in ("a1", "a2")})
         with pytest.raises(ValueError, match="finite mass"):
             uniqueness_check(mu, mu, [trio.top])
+
+    def test_blocks_decide_like_member_enumeration(self):
+        """Seeded pairs on a discrete or a coarser domain, with a
+        meet-closed chain generator; the domain is often finer than the
+        generated sigma-algebra, and mass moved inside one generated
+        block must not change the verdict."""
+        rng = random.Random(8)
+        verdicts = {True: 0, False: 0}
+        finer_disagreement = 0
+        for _ in range(200):
+            n_atoms, n_points = rng.choice(((1, 3), (2, 2), (2, 3), (3, 3)))
+            algebra = MeasureAlgebra.uniform([f"a{i}" for i in range(n_atoms)])
+            cspace = CondSpace(algebra, GroundSpace(tuple(range(n_points))))
+            if rng.random() < 0.5:
+                domain = StableSigmaAlgebra.discrete(cspace)
+            else:
+                # one singleton block and the rest, per atom
+                single = {a: frozenset((rng.randrange(n_points),)) for a in algebra.atoms}
+                domain = StableSigmaAlgebra.from_blocks(
+                    cspace, {a: [s, cspace.space.point_set - s] for a, s in single.items()}
+                )
+            # a decreasing chain of domain members is closed under meets
+            generator, fibers = [cspace.top], {a: list(domain.blocks(a)) for a in algebra.atoms}
+            for _ in range(rng.randint(0, 2)):
+                fibers = {a: rng.sample(bs, rng.randint(1, len(bs))) for a, bs in fibers.items()}
+                fibers = {a: bs for a, bs in fibers.items() if rng.random() < 0.8} or fibers
+                generator.append(ConditionalSet(fibers, {a: frozenset().union(*bs) for a, bs in fibers.items()}))
+            mu = StableMeasure(domain, {a: {b: rng.choice(MASSES[:3]) for b in domain.blocks(a)} for a in algebra.atoms})
+            table = {a: dict(row) for a, row in mu.block_mass.items()}
+            sigma = generate_sigma(cspace, generator)
+            a = rng.choice(algebra.atoms)
+            if rng.random() < 0.5:
+                # move mass between two domain blocks of one generated block
+                inside = [[b for b in domain.blocks(a) if b <= s] for s in sigma.blocks(a)]
+                inside = [bs for bs in inside if len(bs) > 1]
+                if inside:
+                    b1, b2 = rng.sample(rng.choice(inside), 2)
+                    table[a][b1], table[a][b2] = table[a][b2], table[a][b1]
+            else:
+                b = rng.choice(domain.blocks(a))
+                table[a][b] += rng.choice((0, 1))
+            nu = StableMeasure(domain, table)
+            want = all(mu.eval(v) == nu.eval(v) for v in sigma.members())
+            got = uniqueness_check(mu, nu, generator)
+            assert got is want, (generator, mu, nu)
+            verdicts[got] += 1
+            finer_disagreement += got and mu.block_mass != nu.block_mass
+        assert all(verdicts.values()) and finer_disagreement, (verdicts, finer_disagreement)
 
     def test_four_point_counterexample(self):
         """Two different measures that agree on a generator which is not
