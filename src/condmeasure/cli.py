@@ -103,9 +103,11 @@ dominated.""",
 A scenario is a JSON object with 'atoms', 'ground' (and optionally
 'ground2' for pair constructions), named 'sigma_algebras', 'rings',
 'measures', 'observations', 'subalgebras', 'functions' and 'kernels',
-plus a list of 'queries'.  Masses and values are exact strings like
-'5/6' or 'inf'.  Every query is recomputed through a classical
-per-atom oracle and the report carries the verdict.""",
+plus a list of 'queries'.  Masses and values are exact rationals,
+strings like '5/6' or 'inf' or JSON numbers.  A missing key or a value
+of the wrong JSON type is an error that names its location.  Every
+query is recomputed through a classical per-atom oracle and the report
+carries the verdict.""",
     "verify": "",
 }
 

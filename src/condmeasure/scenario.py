@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Mapping
 
 from . import classical
 from .algebra import ExtValue, Field, MeasureAlgebra, ext_mul, ext_sum, format_value, parse_value
@@ -36,23 +36,113 @@ class ScenarioError(Exception):
     """A scenario file failed validation; the message names the spot."""
 
 
-def _require(mapping: Mapping, key: str, where: str) -> Any:
-    if key not in mapping:
-        raise ScenarioError(f"{where}: missing required key {key!r}")
-    return mapping[key]
+# ---------------------------------------------------------------------------
+# reading the document: every value goes through `_get` or `_checked`
+
+_REQUIRED = object()
+
+#: How an error names the JSON type it expected.
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string"}
 
 
-def _parse_point(raw) -> object:
-    if isinstance(raw, list):
-        return tuple(_parse_point(x) for x in raw)
+def _checked(value, where: str, expected, what: str | None = None):
+    """``value``, found at ``where``, checked to be of the JSON type ``expected``
+    (a type or a tuple of types); ``what`` overrides the name in the error."""
+    if isinstance(value, expected):
+        return value
+    if what is None:
+        kinds = expected if isinstance(expected, tuple) else (expected,)
+        what = " or ".join(_JSON_NAMES[t] for t in kinds)
+    raise ScenarioError(f"{where}: expected {what}, got {json.dumps(value)}")
+
+
+def _get(node: dict, key: str, where: str, expected=object, default=_REQUIRED, what: str | None = None):
+    """``node[key]``, checked by `_checked`; ``where`` locates ``node`` and is
+    empty at the top of the document.  A missing key is an error unless a
+    ``default`` is given."""
+    if key not in node:
+        if default is _REQUIRED:
+            raise ScenarioError(f"{where or 'scenario'}: missing required key {key!r}")
+        return default
+    return _checked(node[key], f"{where}.{key}" if where else key, expected, what)
+
+
+class _located:
+    """A context that reports a library ``ValueError`` or ``KeyError`` as a
+    `ScenarioError` at ``where``.  A class, not a generator: it wraps every
+    parsed mass, and loading would pay for the generator machinery."""
+
+    __slots__ = ("where",)
+
+    def __init__(self, where: str):
+        self.where = where
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, (ValueError, KeyError)):
+            raise ScenarioError(f"{self.where}: {exc}") from None
+
+
+def _ref(node: dict, key: str, where: str, table: Mapping, kind: str, default=_REQUIRED):
+    """The entry of ``table`` that the name at ``node[key]`` refers to."""
+    name = _get(node, key, where, str, default)
+    if name not in table:
+        raise ScenarioError(f"{where}: unknown {kind} {name!r}")
+    return table[name]
+
+
+def _section(doc: dict, section: str, expected) -> list[tuple[str, object]]:
+    """The ``(name, entry)`` pairs of a named section, each entry of the JSON type ``expected``."""
+    entries = _get(doc, section, "", dict, default={}, what="an object of named entries")
+    return [(name, _checked(entry, f"{section}.{name}", expected)) for name, entry in entries.items()]
+
+
+def _pair(raw, where: str, shape: str) -> list:
+    """A ``[key, value]`` table entry; ``shape`` names its two items in the error."""
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise ScenarioError(f"{where}: each entry must be {shape}")
     return raw
 
 
+def _point(raw, where: str) -> object:
+    """A ground point: a JSON scalar, or a list of points read as a tuple."""
+    if isinstance(raw, list):
+        return tuple(_point(x, where) for x in raw)
+    if isinstance(raw, dict):
+        raise ScenarioError(f"{where}: expected a point, got {json.dumps(raw)}")
+    return raw
+
+
+def _known_point(raw, space: GroundSpace, where: str) -> object:
+    p = _point(raw, where)
+    if p not in space.point_set:
+        raise ScenarioError(f"{where}: unknown point {p!r}")
+    return p
+
+
+def _resolve_points(raw, space: GroundSpace, where: str) -> frozenset:
+    out = frozenset(_known_point(p, space, where) for p in _checked(raw, where, list))
+    if not out:
+        raise ScenarioError(f"{where}: empty point set")
+    return out
+
+
+def _by_point(raw: dict, points, where: str, kind: str = "point") -> dict:
+    """An object keyed by point names, re-keyed by the points themselves."""
+    key = {str(p): p for p in points}
+    out = {}
+    for k, v in raw.items():
+        if k not in key:
+            raise ScenarioError(f"{where}: unknown {kind} {k!r}")
+        out[key[k]] = v
+    return out
+
+
 def _ext(raw, where: str) -> ExtValue:
-    try:
+    with _located(where):
         return parse_value(str(raw))
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
 
 
 def _finite(raw, where: str) -> Fraction:
@@ -60,10 +150,6 @@ def _finite(raw, where: str) -> Fraction:
     if not isinstance(v, Fraction):
         raise ScenarioError(f"{where}: must be a finite rational, got {raw!r}")
     return v
-
-
-def _point_key(space: GroundSpace) -> dict[str, object]:
-    return {str(p): p for p in space.points}
 
 
 def _format_point(p) -> str:
@@ -91,9 +177,7 @@ class Scenario:
     spaces: dict[str, GroundSpace]
     cspaces: dict[str, CondSpace]
     sigmas: dict[str, StableSigmaAlgebra]
-    sigma_space: dict[str, str]
     rings: dict[str, StableRing]
-    ring_space: dict[str, str]
     measures: dict[str, StableMeasure]
     measure_points: dict[str, dict | None]
     observations: dict[str, dict]
@@ -101,9 +185,6 @@ class Scenario:
     functions: dict[str, dict]
     kernels: dict[str, StableMarkovKernel]
     queries: list[dict]
-
-    def space_of_sigma(self, name: str) -> GroundSpace:
-        return self.spaces[self.sigma_space[name]]
 
 
 @dataclass
@@ -129,76 +210,32 @@ class ScenarioReport:
 # ---------------------------------------------------------------------------
 # loading and validation
 
-#: Each named section is an object of entries; the JSON type of an entry.
-_ENTRY_SHAPES: dict[str, tuple[Any, str]] = {
-    "sigma_algebras": ((Mapping, str), "an object or a string"),
-    "rings": (Mapping, "an object"),
-    "measures": (Mapping, "an object"),
-    "observations": (Mapping, "an object"),
-    "subalgebras": (list, "a list"),
-    "functions": (Mapping, "an object"),
-    "kernels": (Mapping, "an object"),
-}
 
-
-def _check_shapes(doc: Mapping) -> None:
-    """Check the JSON type of each section and entry before the loaders index into them."""
-    atoms = _require(doc, "atoms", "scenario")
-    if not isinstance(atoms, (Mapping, list)):
-        raise ScenarioError("atoms: expected an object or a list of [name, weight] pairs")
-    for i, entry in enumerate(atoms if isinstance(atoms, list) else ()):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ScenarioError(f"atoms[{i}]: expected a [name, weight] pair, got {json.dumps(entry)}")
-    for section, (types, expected) in _ENTRY_SHAPES.items():
-        entries = doc.get(section, {})
-        if not isinstance(entries, Mapping):
-            raise ScenarioError(f"{section}: expected an object of named entries, got {json.dumps(entries)}")
-        for name, entry in entries.items():
-            if not isinstance(entry, types):
-                raise ScenarioError(f"{section}.{name}: expected {expected}, got {json.dumps(entry)}")
-
-
-def _load_algebra(doc: Mapping) -> MeasureAlgebra:
-    raw = doc["atoms"]
-    items = list(raw.items()) if isinstance(raw, Mapping) else [(str(a), w) for a, w in raw]
-    try:
-        return MeasureAlgebra([(a, _finite(w, f"atoms.{a}")) for a, w in items])
-    except ValueError as exc:
-        raise ScenarioError(f"atoms: {exc}") from None
-
-
-def _load_space(raw, where: str) -> GroundSpace:
-    if isinstance(raw, list):
-        points = tuple(_parse_point(p) for p in raw)
-        coords = None
-    elif isinstance(raw, Mapping):
-        points = tuple(_parse_point(p) for p in _require(raw, "points", where))
-        coords = None
-        if "coords" in raw:
-            key = {str(p): p for p in points}
-            coords = {}
-            for k, v in raw["coords"].items():
-                if k not in key:
-                    raise ScenarioError(f"{where}.coords: unknown point {k!r}")
-                coords[key[k]] = _finite(v, f"{where}.coords.{k}")
+def _load_algebra(doc: dict) -> MeasureAlgebra:
+    raw = _get(doc, "atoms", "", (dict, list), what="an object or a list of [name, weight] pairs")
+    if isinstance(raw, dict):
+        items = list(raw.items())
     else:
-        raise ScenarioError(f"{where}: expected a point list or an object with 'points'")
-    try:
+        items = []
+        for i, entry in enumerate(raw):
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise ScenarioError(f"atoms[{i}]: expected a [name, weight] pair, got {json.dumps(entry)}")
+            items.append((str(entry[0]), entry[1]))
+    weights = [(a, _finite(w, f"atoms.{a}")) for a, w in items]
+    with _located("atoms"):
+        return MeasureAlgebra(weights)
+
+
+def _load_space(doc: dict, key: str) -> GroundSpace:
+    raw = _get(doc, key, "", (list, dict), what="a point list or an object with 'points'")
+    listed = raw if isinstance(raw, list) else _get(raw, "points", key, list)
+    points = tuple(_point(p, key) for p in listed)
+    coords = None
+    if isinstance(raw, dict) and "coords" in raw:
+        given = _by_point(_get(raw, "coords", key, dict), points, f"{key}.coords")
+        coords = {p: _finite(v, f"{key}.coords.{p}") for p, v in given.items()}
+    with _located(key):
         return GroundSpace(points, coords)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
-
-
-def _resolve_points(raw_list, space: GroundSpace, where: str) -> frozenset:
-    out = set()
-    for raw in raw_list:
-        p = _parse_point(raw)
-        if p not in space.point_set:
-            raise ScenarioError(f"{where}: unknown point {p!r}")
-        out.add(p)
-    if not out:
-        raise ScenarioError(f"{where}: empty point set")
-    return frozenset(out)
 
 
 def _load_blocks(raw, algebra: MeasureAlgebra, space: GroundSpace, where: str) -> dict[str, list[frozenset]]:
@@ -206,208 +243,165 @@ def _load_blocks(raw, algebra: MeasureAlgebra, space: GroundSpace, where: str) -
         return {a: [frozenset((p,)) for p in space.points] for a in algebra.atoms}
     if raw == "trivial":
         return {a: [space.point_set] for a in algebra.atoms}
-    if not isinstance(raw, Mapping):
-        raise ScenarioError(f"{where}: expected 'discrete', 'trivial' or per-atom block lists")
-    out = {}
-    for a in algebra.atoms:
-        rows = _require(raw, a, where)
-        out[a] = [_resolve_points(b, space, f"{where}.{a}") for b in rows]
+    _checked(raw, where, dict, what="'discrete', 'trivial' or per-atom block lists")
+    out = {a: [_resolve_points(b, space, f"{where}.{a}") for b in _get(raw, a, where, list)] for a in algebra.atoms}
     extra = set(raw) - set(algebra.atoms)
     if extra:
         raise ScenarioError(f"{where}: unknown atoms {sorted(extra)}")
     return out
 
 
-def _load_point_masses(raw, algebra: MeasureAlgebra, space: GroundSpace, where: str) -> dict:
-    key = _point_key(space)
-    out = {}
-    for a in algebra.atoms:
-        row = _require(raw, a, where)
-        parsed = {}
-        for k, v in row.items():
-            if k not in key:
-                raise ScenarioError(f"{where}.{a}: unknown point {k!r}")
-            parsed[key[k]] = _ext(v, f"{where}.{a}.{k}")
-        missing = space.point_set - set(parsed)
-        if missing:
-            raise ScenarioError(f"{where}.{a}: missing masses for {sorted(map(str, missing))}")
-        out[a] = parsed
-    return out
+def _load_family(raw, where: str, algebra: MeasureAlgebra, cspaces: dict) -> tuple[CondSpace, dict]:
+    """The space and per-atom blocks of a sigma-algebra or ring entry; a bare
+    string gives the blocks of a family on the ground space."""
+    if isinstance(raw, str):
+        return cspaces["ground"], _load_blocks(raw, algebra, cspaces["ground"].space, where)
+    cspace = _ref(raw, "on", where, cspaces, "space", default="ground")
+    return cspace, _load_blocks(_get(raw, "blocks", where), algebra, cspace.space, f"{where}.blocks")
 
 
-def _load_block_masses(raw, domain, where: str) -> dict:
+def _load_point_masses(raw: dict, domain, where: str) -> dict:
+    space = domain.space
     out = {}
     for a in domain.algebra.atoms:
-        entries = _require(raw, a, where)
-        lookup = {b: b for b in domain.ring_at(a).blocks}
-        parsed: dict[frozenset, ExtValue] = {}
-        for entry in entries:
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ScenarioError(f"{where}.{a}: each entry must be [points, mass]")
-            pts = frozenset(_parse_point(p) for p in entry[0])
-            if pts not in lookup:
-                raise ScenarioError(f"{where}.{a}: {sorted(map(str, pts))} is not a block of the domain")
-            parsed[pts] = _ext(entry[1], f"{where}.{a}")
-        missing = set(lookup) - set(parsed)
+        row = _by_point(_get(raw, a, where, dict), space.points, f"{where}.{a}")
+        missing = space.point_set - set(row)
         if missing:
-            raise ScenarioError(f"{where}.{a}: missing masses for some blocks")
+            raise ScenarioError(f"{where}.{a}: missing masses for {sorted(map(str, missing))}")
+        out[a] = {p: _ext(v, f"{where}.{a}.{p}") for p, v in row.items()}
+    return out
+
+
+def _load_block_masses(raw: dict, domain, where: str) -> dict:
+    out = {}
+    for a in domain.algebra.atoms:
+        awhere = f"{where}.{a}"
+        blocks = set(domain.ring_at(a).blocks)
+        parsed: dict[frozenset, ExtValue] = {}
+        for entry in _get(raw, a, where, list):
+            points, mass = _pair(entry, awhere, "[points, mass]")
+            pts = frozenset(_point(p, awhere) for p in _checked(points, awhere, list))
+            if pts not in blocks:
+                raise ScenarioError(f"{awhere}: {sorted(map(str, pts))} is not a block of the domain")
+            parsed[pts] = _ext(mass, awhere)
+        if blocks - set(parsed):
+            raise ScenarioError(f"{awhere}: missing masses for some blocks")
         out[a] = parsed
     return out
+
+
+def _load_kernel_rows(raw: dict, sx: StableSigmaAlgebra, sy: StableSigmaAlgebra, where: str) -> dict:
+    rows = {}
+    for a in sx.algebra.atoms:
+        awhere = f"{where}.{a}"
+        rows[a] = {}
+        for p, row in _by_point(_get(raw, a, where, dict), sx.space.points, awhere, "left point").items():
+            right = _by_point(_checked(row, f"{awhere}.{p}", dict), sy.space.points, awhere, "right point")
+            rows[a][p] = {q: _finite(v, awhere) for q, v in right.items()}
+    return rows
 
 
 def load_scenario(path: str) -> Scenario:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, Mapping):
-        raise ScenarioError("scenario must be a JSON object")
     return build_scenario(doc)
 
 
 def build_scenario(doc: Mapping) -> Scenario:
-    _check_shapes(doc)
+    if not isinstance(doc, dict):
+        raise ScenarioError("scenario must be a JSON object")
     algebra = _load_algebra(doc)
-    spaces = {"ground": _load_space(_require(doc, "ground", "scenario"), "ground")}
+    spaces = {"ground": _load_space(doc, "ground")}
     if "ground2" in doc:
-        spaces["ground2"] = _load_space(doc["ground2"], "ground2")
+        spaces["ground2"] = _load_space(doc, "ground2")
         spaces["product"] = product_space(spaces["ground"], spaces["ground2"])
     cspaces = {name: CondSpace(algebra, sp) for name, sp in spaces.items()}
 
     sigmas: dict[str, StableSigmaAlgebra] = {}
-    sigma_space: dict[str, str] = {}
-    for name, raw in doc.get("sigma_algebras", {}).items():
+    for name, raw in _section(doc, "sigma_algebras", (dict, str)):
         where = f"sigma_algebras.{name}"
-        on = raw.get("on", "ground") if isinstance(raw, Mapping) else "ground"
-        if on not in spaces:
-            raise ScenarioError(f"{where}: unknown space {on!r}")
-        blocks_raw = _require(raw, "blocks", where) if isinstance(raw, Mapping) else raw
-        blocks = _load_blocks(blocks_raw, algebra, spaces[on], where)
-        try:
-            sigmas[name] = StableSigmaAlgebra.from_blocks(cspaces[on], blocks)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from None
-        sigma_space[name] = on
+        cspace, blocks = _load_family(raw, where, algebra, cspaces)
+        with _located(where):
+            sigmas[name] = StableSigmaAlgebra.from_blocks(cspace, blocks)
 
     rings: dict[str, StableRing] = {}
-    ring_space: dict[str, str] = {}
-    for name, raw in doc.get("rings", {}).items():
+    for name, raw in _section(doc, "rings", dict):
         where = f"rings.{name}"
-        on = raw.get("on", "ground")
-        if on not in spaces:
-            raise ScenarioError(f"{where}: unknown space {on!r}")
-        blocks = _load_blocks(_require(raw, "blocks", where), algebra, spaces[on], where)
-        try:
-            rings[name] = StableRing(cspaces[on], {a: SetRing(bs) for a, bs in blocks.items()})
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from None
-        ring_space[name] = on
+        cspace, blocks = _load_family(raw, where, algebra, cspaces)
+        with _located(where):
+            rings[name] = StableRing(cspace, {a: SetRing(bs) for a, bs in blocks.items()})
 
     measures: dict[str, StableMeasure] = {}
     measure_points: dict[str, dict | None] = {}
-    for name, raw in doc.get("measures", {}).items():
+    for name, raw in _section(doc, "measures", dict):
         where = f"measures.{name}"
         if "sigma" in raw:
-            dom_name = raw["sigma"]
-            if dom_name not in sigmas:
-                raise ScenarioError(f"{where}: unknown sigma-algebra {dom_name!r}")
-            domain = sigmas[dom_name]
-            dspace = spaces[sigma_space[dom_name]]
+            domain = _ref(raw, "sigma", where, sigmas, "sigma-algebra")
         elif "ring" in raw:
-            dom_name = raw["ring"]
-            if dom_name not in rings:
-                raise ScenarioError(f"{where}: unknown ring {dom_name!r}")
-            domain = rings[dom_name]
-            dspace = spaces[ring_space[dom_name]]
+            domain = _ref(raw, "ring", where, rings, "ring")
         else:
             raise ScenarioError(f"{where}: needs 'sigma' or 'ring'")
-        try:
-            if "point_masses" in raw:
-                pm = _load_point_masses(raw["point_masses"], algebra, dspace, f"{where}.point_masses")
-                measures[name] = StableMeasure.from_point_masses(domain, pm)
-                measure_points[name] = pm
-            elif "blocks" in raw:
-                bm = _load_block_masses(raw["blocks"], domain, f"{where}.blocks")
-                measures[name] = StableMeasure(domain, bm)
-                measure_points[name] = None
-            else:
-                raise ScenarioError(f"{where}: needs 'point_masses' or 'blocks'")
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from None
+        pm = None
+        if "point_masses" in raw:
+            pm = _load_point_masses(_get(raw, "point_masses", where, dict), domain, f"{where}.point_masses")
+        elif "blocks" in raw:
+            bm = _load_block_masses(_get(raw, "blocks", where, dict), domain, f"{where}.blocks")
+        else:
+            raise ScenarioError(f"{where}: needs 'point_masses' or 'blocks'")
+        with _located(where):
+            measures[name] = StableMeasure(domain, bm) if pm is None else StableMeasure.from_point_masses(domain, pm)
+        measure_points[name] = pm
 
     observations: dict[str, dict] = {}
-    for name, raw in doc.get("observations", {}).items():
+    for name, raw in _section(doc, "observations", dict):
         where = f"observations.{name}"
-        xi = {}
-        for a in algebra.atoms:
-            p = _parse_point(_require(raw, a, where))
-            if p not in spaces["ground"].point_set:
-                raise ScenarioError(f"{where}.{a}: unknown point {p!r}")
-            xi[a] = p
-        observations[name] = xi
+        observations[name] = {
+            a: _known_point(_get(raw, a, where), spaces["ground"], f"{where}.{a}") for a in algebra.atoms
+        }
 
     subalgebras: dict[str, SubAlgebra] = {}
-    for name, raw in doc.get("subalgebras", {}).items():
+    for name, raw in _section(doc, "subalgebras", list):
         where = f"subalgebras.{name}"
-        try:
-            subalgebras[name] = SubAlgebra(algebra, [frozenset(b) for b in raw])
-        except (ValueError, KeyError) as exc:
-            raise ScenarioError(f"{where}: {exc}") from None
+        blocks = [frozenset(_checked(a, f"{where}[{i}]", str) for a in _checked(b, f"{where}[{i}]", list))
+                  for i, b in enumerate(raw)]
+        with _located(where):
+            subalgebras[name] = SubAlgebra(algebra, blocks)
 
     functions: dict[str, dict] = {}
-    for name, raw in doc.get("functions", {}).items():
+    for name, raw in _section(doc, "functions", dict):
         where = f"functions.{name}"
-        entries = _require(raw, "values", where)
         table = {}
-        for entry in entries:
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ScenarioError(f"{where}: each entry must be [point, value]")
-            table[_parse_point(entry[0])] = _finite(entry[1], where)
+        for entry in _get(raw, "values", where, list):
+            point, value = _pair(entry, where, "[point, value]")
+            table[_point(point, where)] = _finite(value, where)
         functions[name] = table
 
     kernels_: dict[str, StableMarkovKernel] = {}
-    for name, raw in doc.get("kernels", {}).items():
+    for name, raw in _section(doc, "kernels", dict):
         where = f"kernels.{name}"
-        left_name = _require(raw, "left", where)
-        if left_name not in sigmas:
-            raise ScenarioError(f"{where}: unknown sigma-algebra {left_name!r}")
+        sx = _ref(raw, "left", where, sigmas, "sigma-algebra")
         if "ground2" not in spaces:
             raise ScenarioError(f"{where}: kernels need a second ground space")
-        sx = sigmas[left_name]
         sy = StableSigmaAlgebra.discrete(cspaces["ground2"])
-        lkey = _point_key(spaces[sigma_space[left_name]])
-        rkey = _point_key(spaces["ground2"])
-        rows_raw = _require(raw, "rows", where)
-        rows: dict[str, dict] = {}
-        for a in algebra.atoms:
-            arow = _require(rows_raw, a, where)
-            rows[a] = {}
-            for pk, row in arow.items():
-                if pk not in lkey:
-                    raise ScenarioError(f"{where}.{a}: unknown left point {pk!r}")
-                parsed = {}
-                for qk, v in row.items():
-                    if qk not in rkey:
-                        raise ScenarioError(f"{where}.{a}: unknown right point {qk!r}")
-                    parsed[rkey[qk]] = _finite(v, f"{where}.{a}")
-                rows[a][lkey[pk]] = parsed
-        try:
+        rows = _load_kernel_rows(_get(raw, "rows", where, dict), sx, sy, f"{where}.rows")
+        with _located(where):
             kernels_[name] = StableMarkovKernel(sx, sy, rows)
-        except (ValueError, KeyError) as exc:
-            raise ScenarioError(f"{where}: {exc}") from None
 
-    queries = doc.get("queries", [])
-    if not isinstance(queries, list) or not queries:
+    queries = _get(doc, "queries", "", list, default=[])
+    if not queries:
         raise ScenarioError("scenario needs a nonempty 'queries' list")
     for i, q in enumerate(queries):
-        if not isinstance(q, Mapping) or "op" not in q:
-            raise ScenarioError(f"queries[{i}]: each query needs an 'op'")
-        if q["op"] not in QUERY_OPS:
+        where = f"queries[{i}]"
+        if not isinstance(q, dict) or "op" not in q:
+            raise ScenarioError(f"{where}: each query needs an 'op'")
+        if _get(q, "op", where, str) not in QUERY_OPS:
             known = ", ".join(sorted(QUERY_OPS))
-            raise ScenarioError(f"queries[{i}]: unknown op {q['op']!r} (known: {known})")
+            raise ScenarioError(f"{where}: unknown op {q['op']!r} (known: {known})")
 
     return Scenario(
         title=str(doc.get("title", "untitled scenario")),
@@ -415,9 +409,7 @@ def build_scenario(doc: Mapping) -> Scenario:
         spaces=spaces,
         cspaces=cspaces,
         sigmas=sigmas,
-        sigma_space=sigma_space,
         rings=rings,
-        ring_space=ring_space,
         measures=measures,
         measure_points=measure_points,
         observations=observations,
@@ -431,27 +423,36 @@ def build_scenario(doc: Mapping) -> Scenario:
 # ---------------------------------------------------------------------------
 # query execution; each handler produces a QueryResult with an oracle verdict
 
-
-def _named(table: Mapping, key: str, kind: str, where: str):
-    if key not in table:
-        raise ScenarioError(f"{where}: unknown {kind} {key!r}")
-    return table[key]
-
-
-def _measure_space(scn: Scenario, name: str) -> GroundSpace:
-    mu = scn.measures[name]
-    for sig_name, sig in scn.sigmas.items():
-        if sig is mu.domain:
-            return scn.space_of_sigma(sig_name)
-    for ring_name, ring in scn.rings.items():
-        if ring is mu.domain:
-            return scn.spaces[scn.ring_space[ring_name]]
-    raise ScenarioError(f"measure {name!r} has an unregistered domain")
+#: The declared table, and the word an error uses for its entries, that
+#: each query argument names.
+_ARGUMENTS = {
+    **dict.fromkeys(
+        ("measure", "base", "target", "left", "right", "first", "second", "premeasure", "source"),
+        ("measures", "measure"),
+    ),
+    "function": ("functions", "function"),
+    "given": ("subalgebras", "grouping"),
+    "observe": ("observations", "observation"),
+    "kernel": ("kernels", "kernel"),
+}
 
 
-def _parse_condset(scn: Scenario, raw, space: GroundSpace, where: str) -> ConditionalSet:
-    if not isinstance(raw, Mapping):
-        raise ScenarioError(f"{where}: expected an object mapping atoms to point lists")
+def _arg(scn: Scenario, q: dict, key: str, where: str):
+    """The declared object that the query argument ``key`` names."""
+    table, kind = _ARGUMENTS[key]
+    return _ref(q, key, where, getattr(scn, table), kind)
+
+
+def _function_over(scn: Scenario, q: dict, space: GroundSpace, where: str) -> dict:
+    """The query's function, which must have a value at every point of ``space``."""
+    fmap = _arg(scn, q, "function", where)
+    missing = space.point_set - set(fmap)
+    if missing:
+        raise ScenarioError(f"{where}: function misses points {sorted(map(str, missing))}")
+    return fmap
+
+
+def _parse_condset(scn: Scenario, raw: dict, space: GroundSpace, where: str) -> ConditionalSet:
     fibers = {}
     for a, pts in raw.items():
         if a not in scn.algebra.atoms:
@@ -482,7 +483,7 @@ def _rep_point_masses(scn: Scenario, name: str) -> dict:
     if pm is not None:
         return pm
     mu = scn.measures[name]
-    space = _measure_space(scn, name)
+    space = mu.domain.space
     out = {}
     for a in scn.algebra.atoms:
         row = {p: Fraction(0) for p in space.points}
@@ -496,54 +497,54 @@ def _field_payload(f: Field) -> dict:
     return {a: format_value(f[a]) for a in f.algebra.atoms}
 
 
+def _block_table(mu: StableMeasure, space: GroundSpace, point_name) -> tuple[list[str], dict[str, list]]:
+    """Each block of ``mu``'s domain with its mass: one line per atom, and
+    the payload lists the block's points named by ``point_name``."""
+    lines = []
+    payload: dict[str, list] = {}
+    for a in mu.domain.algebra.atoms:
+        cells = [(b, format_value(mu.block_mass[a][b])) for b in mu.domain.blocks(a)]
+        lines.append(f"{a}: " + ", ".join(f"{_format_fiber(b, space)}={mass}" for b, mass in cells))
+        payload[a] = [[sorted((point_name(p) for p in b), key=str), mass] for b, mass in cells]
+    return lines, payload
+
+
 def _oracle_line(agree: bool) -> str:
     return "oracle: agree" if agree else "oracle: DISAGREE"
 
 
-def _q_measure_of(scn: Scenario, q: Mapping, where: str) -> QueryResult:
-    name = _require(q, "measure", where)
-    mu = _named(scn.measures, name, "measure", where)
-    space = _measure_space(scn, name)
-    v = _parse_condset(scn, _require(q, "set", where), space, f"{where}.set")
-    try:
+def _q_measure_of(scn: Scenario, q: dict, where: str) -> QueryResult:
+    mu = _arg(scn, q, "measure", where)
+    space = mu.domain.space
+    raw = _get(q, "set", where, dict, what="an object mapping atoms to point lists")
+    v = _parse_condset(scn, raw, space, f"{where}.set")
+    with _located(where):
         got = mu.eval(v)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
-    want = _classical_eval(scn, name, v)
-    agree = got == want
+    agree = got == _classical_eval(scn, q["measure"], v)
     lines = [f"set: {_format_condset(v, scn.algebra, space)}", f"mass: {got.format()}", _oracle_line(agree)]
-    return QueryResult("measure-of", f"mass under '{name}'", lines, {"mass": _field_payload(got)}, agree)
+    return QueryResult("measure-of", f"mass under '{q['measure']}'", lines, {"mass": _field_payload(got)}, agree)
 
 
-def _q_integral(scn: Scenario, q: Mapping, where: str) -> QueryResult:
-    mname = _require(q, "measure", where)
-    fname = _require(q, "function", where)
-    mu = _named(scn.measures, mname, "measure", where)
-    fmap = _named(scn.functions, fname, "function", where)
+def _q_integral(scn: Scenario, q: dict, where: str) -> QueryResult:
+    mu = _arg(scn, q, "measure", where)
     if not isinstance(mu.domain, StableSigmaAlgebra):
         raise ScenarioError(f"{where}: integrals need a measure on a sigma-algebra")
-    space = _measure_space(scn, mname)
-    missing = space.point_set - set(fmap)
-    if missing:
-        raise ScenarioError(f"{where}: function misses points {sorted(map(str, missing))}")
-    try:
+    space = mu.domain.space
+    fmap = _function_over(scn, q, space, where)
+    with _located(where):
         got = integrate(Integrand.from_point_map(mu.domain, fmap), mu)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
-    pm = _rep_point_masses(scn, mname)
+    pm = _rep_point_masses(scn, q["measure"])
     agree = all(got[a] == classical.integral(pm[a], {p: fmap[p] for p in space.points}) for a in scn.algebra.atoms)
+    fname, mname = q["function"], q["measure"]
     lines = [f"integral of '{fname}': {got.format()}", _oracle_line(agree)]
     return QueryResult("integral", f"integral of '{fname}' against '{mname}'", lines, {"integral": _field_payload(got)}, agree)
 
 
-def _q_cond_expectation(scn: Scenario, q: Mapping, where: str) -> QueryResult:
-    sub = _named(scn.subalgebras, _require(q, "given", where), "grouping", where)
-    xi = _named(scn.observations, _require(q, "observe", where), "observation", where)
-    fmap = _named(scn.functions, _require(q, "function", where), "function", where)
+def _q_cond_expectation(scn: Scenario, q: dict, where: str) -> QueryResult:
+    sub = _arg(scn, q, "given", where)
+    xi = _arg(scn, q, "observe", where)
     space = scn.spaces["ground"]
-    missing = space.point_set - set(fmap)
-    if missing:
-        raise ScenarioError(f"{where}: function misses points {sorted(map(str, missing))}")
+    fmap = _function_over(scn, q, space, where)
     got = conditional_expectation(sub, xi, space, fmap)
     want = classical.conditional_expectation(scn.algebra.weights, xi, list(sub.blocks), fmap)
     spread = sub.spread_to_atoms(got)
@@ -560,11 +561,11 @@ def _q_cond_expectation(scn: Scenario, q: Mapping, where: str) -> QueryResult:
     )
 
 
-def _q_cond_distribution(scn: Scenario, q: Mapping, where: str) -> QueryResult:
-    sub = _named(scn.subalgebras, _require(q, "given", where), "grouping", where)
-    xi = _named(scn.observations, _require(q, "observe", where), "observation", where)
+def _q_cond_distribution(scn: Scenario, q: dict, where: str) -> QueryResult:
+    sub = _arg(scn, q, "given", where)
+    xi = _arg(scn, q, "observe", where)
     space = scn.spaces["ground"]
-    pts = _resolve_points(_require(q, "points", where), space, f"{where}.points")
+    pts = _resolve_points(_get(q, "points", where), space, f"{where}.points")
     dist = conditional_distribution(sub, xi, space)
     target = ConditionalSet(sub.labels, {label: pts for label in sub.labels})
     got = dist.eval(target)
@@ -585,12 +586,11 @@ def _q_cond_distribution(scn: Scenario, q: Mapping, where: str) -> QueryResult:
     )
 
 
-def _q_radon_nikodym(scn: Scenario, q: Mapping, where: str) -> QueryResult:
-    bname = _require(q, "base", where)
-    tname = _require(q, "target", where)
-    mu = _named(scn.measures, bname, "measure", where)
-    nu = _named(scn.measures, tname, "measure", where)
-    space = _measure_space(scn, bname)
+def _q_radon_nikodym(scn: Scenario, q: dict, where: str) -> QueryResult:
+    mu = _arg(scn, q, "base", where)
+    nu = _arg(scn, q, "target", where)
+    bname, tname = q["base"], q["target"]
+    space = mu.domain.space
     try:
         density = radon_nikodym(mu, nu)
     except ValueError as exc:
@@ -624,29 +624,21 @@ def _q_radon_nikodym(scn: Scenario, q: Mapping, where: str) -> QueryResult:
     return QueryResult("radon-nikodym", f"density of '{tname}' against '{bname}'", lines, {"density": payload}, agree)
 
 
-def _q_fubini(scn: Scenario, q: Mapping, where: str) -> QueryResult:
-    lname = _require(q, "left", where)
-    rname = _require(q, "right", where)
-    fname = _require(q, "function", where)
-    mu = _named(scn.measures, lname, "measure", where)
-    nu = _named(scn.measures, rname, "measure", where)
-    fmap = _named(scn.functions, fname, "function", where)
+def _q_fubini(scn: Scenario, q: dict, where: str) -> QueryResult:
+    mu = _arg(scn, q, "left", where)
+    nu = _arg(scn, q, "right", where)
     if "product" not in scn.spaces:
         raise ScenarioError(f"{where}: iterated integrals need a second ground space")
     pspace = scn.spaces["product"]
-    missing = pspace.point_set - set(fmap)
-    if missing:
-        raise ScenarioError(f"{where}: function misses points {sorted(map(str, missing))}")
+    fmap = _function_over(scn, q, pspace, where)
     if not isinstance(mu.domain, StableSigmaAlgebra) or not isinstance(nu.domain, StableSigmaAlgebra):
         raise ScenarioError(f"{where}: both factors need sigma-algebra domains")
     psigma = product_sigma(mu.domain, nu.domain)
-    try:
+    with _located(where):
         f = Integrand.from_point_map(psigma, fmap)
         left, right, joint = fubini(f, mu, nu)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
-    pml = _rep_point_masses(scn, lname)
-    pmr = _rep_point_masses(scn, rname)
+    pml = _rep_point_masses(scn, q["left"])
+    pmr = _rep_point_masses(scn, q["right"])
     agree = left == right == joint
     for a in scn.algebra.atoms:
         classic = classical.product_point_masses(pml[a], pmr[a])
@@ -659,19 +651,16 @@ def _q_fubini(scn: Scenario, q: Mapping, where: str) -> QueryResult:
         _oracle_line(agree),
     ]
     payload = {"left": _field_payload(left), "right": _field_payload(right), "joint": _field_payload(joint)}
-    return QueryResult("fubini", f"iterated integrals of '{fname}'", lines, payload, agree)
+    return QueryResult("fubini", f"iterated integrals of '{q['function']}'", lines, payload, agree)
 
 
-def _q_caratheodory(scn: Scenario, q: Mapping, where: str) -> QueryResult:
-    name = _require(q, "premeasure", where)
-    pre = _named(scn.measures, name, "measure", where)
+def _q_caratheodory(scn: Scenario, q: dict, where: str) -> QueryResult:
+    pre = _arg(scn, q, "premeasure", where)
     if not isinstance(pre.domain, StableRing):
         raise ScenarioError(f"{where}: the extension starts from a measure on a ring")
-    space = _measure_space(scn, name)
-    try:
+    space = pre.domain.space
+    with _located(where):
         ext = caratheodory_extend(pre)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
     agree = True
     for a in scn.algebra.atoms:
         ring = pre.domain.ring_at(a)
@@ -685,31 +674,18 @@ def _q_caratheodory(scn: Scenario, q: Mapping, where: str) -> QueryResult:
         for b, mass in want.items():
             if ext.eval(ConditionalSet((a,), {a: b}))[a] != mass:
                 agree = False
-    lines = []
-    payload: dict[str, list] = {}
-    for a in scn.algebra.atoms:
-        parts = []
-        payload[a] = []
-        for b in ext.domain.blocks(a):
-            mass = ext.block_mass[a][b]
-            parts.append(f"{_format_fiber(b, space)}={format_value(mass)}")
-            payload[a].append([sorted((str(p) for p in b), key=str), format_value(mass)])
-        lines.append(f"{a}: " + ", ".join(parts))
+    lines, payload = _block_table(ext, space, str)
     lines.append(_oracle_line(agree))
-    return QueryResult("caratheodory", f"extension of '{name}' to the generated sigma-algebra", lines,
+    return QueryResult("caratheodory", f"extension of '{q['premeasure']}' to the generated sigma-algebra", lines,
                        {"blocks": payload}, agree)
 
 
-def _q_markov_product(scn: Scenario, q: Mapping, where: str) -> QueryResult:
-    kname = _require(q, "kernel", where)
-    mname = _require(q, "source", where)
-    kernel = _named(scn.kernels, kname, "kernel", where)
-    mu = _named(scn.measures, mname, "measure", where)
-    try:
+def _q_markov_product(scn: Scenario, q: dict, where: str) -> QueryResult:
+    kernel = _arg(scn, q, "kernel", where)
+    mu = _arg(scn, q, "source", where)
+    kname, mname = q["kernel"], q["source"]
+    with _located(where):
         joint = markov_product(kernel, mu)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
-    pspace = scn.spaces["product"]
     pm = _rep_point_masses(scn, mname)
     agree = True
     for a in scn.algebra.atoms:
@@ -717,36 +693,22 @@ def _q_markov_product(scn: Scenario, q: Mapping, where: str) -> QueryResult:
         for b in joint.domain.blocks(a):
             if joint.block_mass[a][b] != classical.mass_of(classic, b):
                 agree = False
-    spy = kernel.sy.space
-    full_y = ConditionalSet(scn.algebra.atoms, {a: spy.point_set for a in scn.algebra.atoms})
-    top_left = ConditionalSet(scn.algebra.atoms, {a: _measure_space(scn, mname).point_set for a in scn.algebra.atoms})
+    full_y = ConditionalSet(scn.algebra.atoms, {a: kernel.sy.space.point_set for a in scn.algebra.atoms})
+    top_left = ConditionalSet(scn.algebra.atoms, {a: mu.domain.space.point_set for a in scn.algebra.atoms})
     marginal_ok = joint.eval(cartesian_product(top_left, full_y)) == mu.eval(top_left)
-    lines = []
-    payload: dict[str, list] = {}
-    for a in scn.algebra.atoms:
-        parts = []
-        payload[a] = []
-        for b in joint.domain.blocks(a):
-            mass = joint.block_mass[a][b]
-            parts.append(f"{_format_fiber(b, pspace)}={format_value(mass)}")
-            payload[a].append([sorted((_format_point(p) for p in b), key=str), format_value(mass)])
-        lines.append(f"{a}: " + ", ".join(parts))
+    lines, payload = _block_table(joint, scn.spaces["product"], _format_point)
     lines.append(f"marginal matches the source: {'yes' if marginal_ok else 'NO'}")
     lines.append(_oracle_line(agree))
     return QueryResult("markov-product", f"joint law of '{mname}' and kernel '{kname}'", lines,
                        {"blocks": payload, "marginal": marginal_ok}, agree and marginal_ok)
 
 
-def _q_hahn(scn: Scenario, q: Mapping, where: str) -> QueryResult:
-    n1 = _require(q, "first", where)
-    n2 = _require(q, "second", where)
-    mu1 = _named(scn.measures, n1, "measure", where)
-    mu2 = _named(scn.measures, n2, "measure", where)
-    space = _measure_space(scn, n1)
-    try:
+def _q_hahn(scn: Scenario, q: dict, where: str) -> QueryResult:
+    mu1 = _arg(scn, q, "first", where)
+    mu2 = _arg(scn, q, "second", where)
+    n1, n2 = q["first"], q["second"]
+    with _located(where):
         pos = hahn_positive_set(mu1, mu2)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
     agree = True
     for a in scn.algebra.atoms:
         diffs = {
@@ -754,6 +716,7 @@ def _q_hahn(scn: Scenario, q: Mapping, where: str) -> QueryResult:
         }
         if pos.fibers.get(a, frozenset()) != classical.hahn_positive(mu1.domain.blocks(a), diffs):
             agree = False
+    space = mu1.domain.space
     lines = [f"largest region where '{n2}' dominates: {_format_condset(pos, scn.algebra, space)}", _oracle_line(agree)]
     payload = {
         "positive_set": None if pos.is_bottom else {

@@ -59,6 +59,13 @@ class TestRun:
             ("subalgebras", {"groups": 1}, "subalgebras.groups"),
             ("kernels", {"step": 1}, "kernels.step"),
             ("atoms", [["a", 1, 2]], "atoms[0]"),
+            # a wrong JSON type below the entries, and in a query argument
+            ("rings", {"R": {"blocks": {"a1": 5, "a2": [[1, 2]]}}}, "rings.R.blocks.a1"),
+            ("measures", {"rho": {"ring": "R", "blocks": {"a1": 5, "a2": [[[1, 2], "3/4"]]}}}, "measures.rho.blocks.a1"),
+            ("measures", {"rho": {"ring": "R", "blocks": 5}}, "measures.rho.blocks"),
+            ("subalgebras", {"parity": [1]}, "subalgebras.parity[0]"),
+            ("functions", {"face": {"values": 5}}, "functions.face.values"),
+            ("queries", [{"op": "caratheodory", "premeasure": ["rho"]}], "queries[0].premeasure"),
         ],
     )
     def test_misshapen_section_is_a_named_error(self, tmp_path, section, value, location):

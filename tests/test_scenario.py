@@ -16,7 +16,7 @@ from condmeasure.scenario import (
 SCENARIO_DIR = Path(__file__).parent.parent / "src" / "condmeasure" / "scenarios"
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-SHIPPED = ["dice", "density", "fubini", "coverage", "chain"]
+SHIPPED = sorted(path.stem for path in SCENARIO_DIR.glob("*.json"))
 
 
 def run_shipped(name: str):
@@ -24,13 +24,19 @@ def run_shipped(name: str):
 
 
 class TestGoldenReports:
+    def test_every_shipped_scenario_has_both_goldens(self):
+        assert SHIPPED
+        for name in SHIPPED:
+            assert (GOLDEN_DIR / f"{name}.txt").is_file(), name
+            assert (GOLDEN_DIR / f"{name}.json").is_file(), name
+
     @pytest.mark.parametrize("name", SHIPPED)
     def test_text_report_matches_golden(self, name):
         report = run_shipped(name)
         assert report.verified
         assert render_text(report) == (GOLDEN_DIR / f"{name}.txt").read_text()
 
-    @pytest.mark.parametrize("name", ["dice", "chain"])
+    @pytest.mark.parametrize("name", SHIPPED)
     def test_json_report_matches_golden(self, name):
         report = run_shipped(name)
         assert render_json(report) == (GOLDEN_DIR / f"{name}.json").read_text()
@@ -106,6 +112,88 @@ class TestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="cannot read scenario"):
             load_scenario(str(tmp_path / "absent.json"))
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "utf16.json"
+        p.write_bytes("{}".encode("utf-16"))
+        assert p.read_bytes().startswith(b"\xff\xfe")
+        with pytest.raises(ScenarioError, match="not valid JSON: 'utf-8' codec can't decode"):
+            load_scenario(str(p))
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ScenarioError, match="scenario must be a JSON object"):
+            build_scenario([1])
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (
+                ("measures", "rho", "blocks", "a1", 0, 0, 0),
+                {"zz": 1},
+                'measures.rho.blocks.a1: expected a point, got {"zz": 1}',
+            ),
+            (("measures", "rho", "ring"), [1], "measures.rho.ring: expected a string, got [1]"),
+            (("queries", 0, "set", "a1"), "x", 'queries[0].set.a1: expected a list, got "x"'),
+        ],
+    )
+    def test_wrong_json_type_names_its_location(self, path, value, message):
+        doc = json.loads((SCENARIO_DIR / "coverage.json").read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ScenarioError) as caught:
+            run_scenario(build_scenario(doc))
+        assert str(caught.value) == message
+
+
+#: What each node of a shipped scenario is replaced by in the mutation walk.
+REPLACEMENTS = [5, [1], "x", {}, None, [[1, 2, 3]], {"zz": 1}]
+_DELETE = object()
+
+
+def _node_paths(node, path=()):
+    """The path of every node below the root, parents before children."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+def _mutants(doc):
+    """Each single-node mutation: delete the node, or replace it by each of `REPLACEMENTS`."""
+    for path in _node_paths(doc):
+        for value in [_DELETE] + REPLACEMENTS:
+            mutant = copy.deepcopy(doc)
+            parent = mutant
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+            yield path, value, mutant
+
+
+class TestMutations:
+    def test_every_single_node_mutation_renders_or_is_a_scenario_error(self):
+        crashes = []
+        count = 0
+        for name in SHIPPED:
+            doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+            for path, value, mutant in _mutants(doc):
+                count += 1
+                try:
+                    report = run_scenario(build_scenario(mutant))
+                    render_text(report)
+                    render_json(report)
+                except ScenarioError:
+                    pass
+                except Exception as exc:  # anything but a ScenarioError is a crash
+                    shown = "delete" if value is _DELETE else json.dumps(value)
+                    crashes.append(f"{name} {list(path)} <- {shown}: {type(exc).__name__}: {exc}")
+        assert count >= 2560  # the five scenarios shipped with this test give 2,560
+        assert not crashes, f"{len(crashes)} of {count} mutants crash:\n" + "\n".join(crashes[:20])
 
 
 class TestReportShape:
