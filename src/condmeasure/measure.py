@@ -181,9 +181,22 @@ def check_measure_axioms(mu, *, cap: int = 200, seed: int = 0) -> AxiomReport:
     monotonicity, guarded subtraction, subadditivity and continuity
     along increasing and decreasing chains.  Returns the first
     violation found, with a witness.
+
+    The pair loop treats ``eval`` as a function of its argument: each
+    distinct set (member, union, meet or difference) is evaluated once
+    and its value read from a table.  Localization and the limit checks
+    evaluate afresh, so an evaluator that answers differently for the
+    same set is still caught.
     """
     algebra = mu.domain.algebra
     members = sample_members(mu.domain, cap, seed)
+    table: dict[ConditionalSet, Field | None] = {}
+
+    def value(v: ConditionalSet) -> Field | None:
+        """The mass of ``v``, or None when the domain cannot measure it."""
+        if v not in table:
+            table[v] = mu.eval(v) if mu.domain.contains(v) else None
+        return table[v]
 
     def fail(axiom: str, witness: str) -> AxiomReport:
         return AxiomReport(False, axiom, witness)
@@ -191,7 +204,7 @@ def check_measure_axioms(mu, *, cap: int = 200, seed: int = 0) -> AxiomReport:
     events: list[Event] = [frozenset((a,)) for a in algebra.atoms]
     events.append(frozenset(algebra.atoms))
     for v in members:
-        mv = mu.eval(v)
+        mv = table[v] = mu.eval(v)
         for ev in events:
             if mu.eval(v.restrict(ev)) != mv.restrict(ev):
                 return fail("localization", f"{v!r} restricted to {sorted(ev)}")
@@ -200,25 +213,24 @@ def check_measure_axioms(mu, *, cap: int = 200, seed: int = 0) -> AxiomReport:
 
     pairs = [(v, w) for i, v in enumerate(members) for w in members[i:]]
     for v, w in pairs:
-        mv, mw = mu.eval(v), mu.eval(w)
-        u = cond_union([v, w])
+        mv, mw = table[v], table[w]
         i = cond_intersection([v, w])
-        if not mu.domain.contains(u) or not mu.domain.contains(i):
+        mu_u, mu_i = value(cond_union([v, w])), value(i)
+        if mu_u is None or mu_i is None:
             continue
-        mu_u, mu_i = mu.eval(u), mu.eval(i)
-        if i.is_bottom and mu_u != mv + mw:
+        total = mv + mw
+        if i.is_bottom and mu_u != total:
             return fail("additivity", f"{v!r} and {w!r}")
-        if mu_u + mu_i != mv + mw:
+        if mu_u + mu_i != total:
             return fail("modularity", f"{v!r} and {w!r}")
-        if not mu_u.le(mv + mw):
+        if not mu_u.le(total):
             return fail("subadditivity", f"{v!r} and {w!r}")
         for lo, hi, mlo, mhi in ((v, w, mv, mw), (w, v, mw, mv)):
             if cond_le(lo, hi):
                 if not mlo.le(mhi):
                     return fail("monotonicity", f"{lo!r} inside {hi!r}")
-                diff = cond_difference(hi, lo)
-                if mu.domain.contains(diff):
-                    mdiff = mu.eval(diff)
+                mdiff = value(cond_difference(hi, lo))
+                if mdiff is not None:
                     for a in algebra.atoms:
                         if is_finite(mlo[a]) and mdiff[a] != ext_sub(mhi[a], mlo[a]):
                             return fail("subtraction", f"{hi!r} minus {lo!r} at atom {a}")

@@ -629,11 +629,11 @@ def _q_fubini(scn: Scenario, q: dict, where: str) -> QueryResult:
     nu = _arg(scn, q, "right", where)
     if "product" not in scn.spaces:
         raise ScenarioError(f"{where}: iterated integrals need a second ground space")
-    pspace = scn.spaces["product"]
-    fmap = _function_over(scn, q, pspace, where)
     if not isinstance(mu.domain, StableSigmaAlgebra) or not isinstance(nu.domain, StableSigmaAlgebra):
         raise ScenarioError(f"{where}: both factors need sigma-algebra domains")
     psigma = product_sigma(mu.domain, nu.domain)
+    pspace = psigma.space
+    fmap = _function_over(scn, q, pspace, where)
     with _located(where):
         f = Integrand.from_point_map(psigma, fmap)
         left, right, joint = fubini(f, mu, nu)
@@ -696,7 +696,7 @@ def _q_markov_product(scn: Scenario, q: dict, where: str) -> QueryResult:
     full_y = ConditionalSet(scn.algebra.atoms, {a: kernel.sy.space.point_set for a in scn.algebra.atoms})
     top_left = ConditionalSet(scn.algebra.atoms, {a: mu.domain.space.point_set for a in scn.algebra.atoms})
     marginal_ok = joint.eval(cartesian_product(top_left, full_y)) == mu.eval(top_left)
-    lines, payload = _block_table(joint, scn.spaces["product"], _format_point)
+    lines, payload = _block_table(joint, joint.domain.space, _format_point)
     lines.append(f"marginal matches the source: {'yes' if marginal_ok else 'NO'}")
     lines.append(_oracle_line(agree))
     return QueryResult("markov-product", f"joint law of '{mname}' and kernel '{kname}'", lines,

@@ -796,6 +796,17 @@ def _broken_intersection(sets):
     return ConditionalSet(fibers.keys(), fibers)
 
 
+def _broken_eval(self: StableMeasure, v: ConditionalSet) -> Field:
+    # takes the largest block mass inside the fiber instead of their sum
+    if not self.domain.contains(v):
+        raise ValueError(f"not measurable: {v!r}")
+    values = {}
+    for a in self.algebra.atoms:
+        inside = [m for b, m in self.block_mass[a].items() if a in v.support and b <= v.fibers[a]]
+        values[a] = INF if INF in inside else max(inside, default=Fraction(0))
+    return Field(self.algebra, values)
+
+
 _original_outer_evaluate = OuterMeasure.evaluate
 
 
@@ -849,6 +860,11 @@ FAULTS: dict[str, tuple[str, Callable, str]] = {
         "intersection keeps atoms whose fibers do not overlap",
         _swap(condsets, "cond_intersection", _broken_intersection),
         "lattice",
+    ),
+    "measure-eval-max": (
+        "measure evaluation takes the largest block mass instead of the sum",
+        _swap(StableMeasure, "eval", _broken_eval),
+        "measure",
     ),
     "outer-ignores-uncovered": (
         "outer measure reports zero instead of infinity off the coverable event",

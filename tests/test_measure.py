@@ -7,6 +7,7 @@ from condmeasure import (
     BOTTOM,
     CondSpace,
     ConditionalSet,
+    Field,
     GroundSpace,
     INF,
     MeasureAlgebra,
@@ -24,6 +25,7 @@ from condmeasure import (
 )
 from condmeasure.measure import sample_members
 from condmeasure.sigma import SetRing, mix_closure
+from condmeasure.verify import inject_fault
 
 #: Block masses drawn by the seeded tests: zero, finite positive, infinite.
 MASSES = (Fraction(0), Fraction(1, 3), Fraction(2), INF)
@@ -31,6 +33,48 @@ MASSES = (Fraction(0), Fraction(1, 3), Fraction(2), INF)
 
 def mk(space, fibers):
     return space.make(fibers.keys(), fibers)
+
+
+class Counting(StableMeasure):
+    """Counts its evaluations."""
+
+    __slots__ = ("calls",)
+
+    def eval(self, v):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().eval(v)
+
+
+class LeaksOffSupport(StableMeasure):
+    """Puts mass 1/7 off the support of a set supported on one atom."""
+
+    def eval(self, v):
+        out = super().eval(v)
+        if len(v.support) != 1:
+            return out
+        return Field(self.algebra, {a: out[a] if a in v.support else Fraction(1, 7) for a in self.algebra.atoms})
+
+
+class Clamped(StableMeasure):
+    """Never reports more than 3."""
+
+    def eval(self, v):
+        capped = super().eval(v)
+        return capped.map2(capped, lambda x, _: min(x, Fraction(3)))
+
+
+class DriftsOnRepeat(StableMeasure):
+    """Adds 1 on the support the second time it sees the same set."""
+
+    __slots__ = ("seen",)
+
+    def eval(self, v):
+        out = super().eval(v)
+        self.seen = getattr(self, "seen", {})
+        self.seen[v] = self.seen.get(v, 0) + 1
+        if self.seen[v] != 2:
+            return out
+        return Field(self.algebra, {a: out[a] + 1 if a in v.support else out[a] for a in self.algebra.atoms})
 
 
 @pytest.fixture
@@ -109,21 +153,34 @@ class TestStableMeasure:
         report = check_measure_axioms(mu, cap=80)
         assert report.ok, (report.axiom, report.witness)
 
+    def test_axiom_checker_evaluates_each_set_once(self, trio):
+        sig = StableSigmaAlgebra.discrete(trio)
+        mu = StableMeasure.from_point_masses(
+            sig, {a: {1: Fraction(1, 4), 2: INF, 3: Fraction(0)} for a in ("a1", "a2")}
+        )
+        counted = Counting(sig, mu.block_mass)
+        assert check_measure_axioms(counted, cap=80).ok
+        # 64 members and 2,080 pairs: one evaluation per distinct set fits,
+        # one per pair member does not
+        assert counted.calls <= 500
+
     def test_axiom_checker_catches_broken_eval(self, trio):
         sig = StableSigmaAlgebra.discrete(trio)
         mu = StableMeasure.from_point_masses(
             sig, {a: {1: Fraction(1), 2: Fraction(2), 3: Fraction(4)} for a in ("a1", "a2")}
         )
-
-        class Clamped(StableMeasure):
-            def eval(self, v):
-                capped = super().eval(v)
-                return capped.map2(capped, lambda x, _: min(x, Fraction(3)))
-
-        broken = Clamped(sig, mu.block_mass)
-        report = check_measure_axioms(broken, cap=80)
-        assert not report.ok
-        assert report.axiom is not None
+        with inject_fault("measure-eval-max"):
+            report = check_measure_axioms(mu, cap=80)
+        got = {"measure-eval-max": (report.axiom, report.witness)}
+        for broken in (LeaksOffSupport, Clamped, DriftsOnRepeat):
+            report = check_measure_axioms(broken(sig, mu.block_mass), cap=80)
+            got[broken.__name__] = (report.axiom, report.witness)
+        assert got == {
+            "measure-eval-max": ("additivity", "ConditionalSet(a2:{1}) and ConditionalSet(a2:{2})"),
+            "LeaksOffSupport": ("localization", "ConditionalSet(a2:{1}) restricted to ['a1']"),
+            "Clamped": ("additivity", "ConditionalSet(a2:{1}) and ConditionalSet(a2:{3})"),
+            "DriftsOnRepeat": ("localization", "ConditionalSet(a2:{1}) restricted to ['a2']"),
+        }
 
     def test_sample_members_is_deterministic(self, trio):
         sig = StableSigmaAlgebra.discrete(trio)

@@ -204,3 +204,29 @@ class TestReportShape:
         report.results[0].ok = False
         assert not report.verified
         assert "FAILED verification" in render_text(report)
+
+
+class TestProductSpaces:
+    """Pair queries build the product of their factors' own spaces."""
+
+    def test_fubini_left_factor_may_live_on_the_second_ground_space(self):
+        doc = json.loads((SCENARIO_DIR / "fubini.json").read_text())
+        doc["ground2"] = [1, 2, 3]
+        third = {str(p): "1/3" for p in (1, 2, 3)}
+        doc["measures"]["nu"]["point_masses"] = {"a1": third, "a2": dict(third)}
+        doc["functions"]["diagonal"]["values"] += [[[3, 1], "0"], [[3, 2], "0"]]
+        doc["queries"] = [{"op": "fubini", "left": "nu", "right": "mu", "function": "diagonal"}]
+        report = run_scenario(build_scenario(doc))
+        assert "  joint: a1=1/3, a2=1/3\n  oracle: agree\n" in render_text(report)
+        assert report.verified
+
+    def test_markov_source_may_live_on_the_second_ground_space(self):
+        doc = json.loads((SCENARIO_DIR / "chain.json").read_text())
+        doc["ground2"] = [1, 2, 3]
+        doc["sigma_algebras"]["F"]["on"] = "ground2"
+        doc["measures"]["mu"]["point_masses"] = {a: {"1": "1/2", "2": "1/2", "3": "0"} for a in ("a1", "a2")}
+        stay = {str(p): {str(q): "1" if p == q else "0" for q in (1, 2, 3)} for p in (1, 2, 3)}
+        doc["kernels"]["step"]["rows"] = {"a1": stay, "a2": stay}
+        report = run_scenario(build_scenario(doc))
+        assert "  a1: {(1,1)}=1/2, {(1,2)}=0, {(1,3)}=0, {(2,1)}=0, {(2,2)}=1/2," in render_text(report)
+        assert report.verified
