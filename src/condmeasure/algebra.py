@@ -6,6 +6,11 @@ weight, with the weights summing to one.  Events are plain frozensets
 of atom ids.  Numeric results are reported atom by atom as `Field`
 vectors whose entries are exact rationals, optionally extended with a
 single positive infinity for unbounded measures.
+
+`Field(algebra, values)` validates its input: it needs a value for
+every atom.  Field arithmetic (`+`, `-`, `*`) and `StableMeasure.eval`
+build their results through the trusted `Field._of`, which takes the
+values as a tuple already in atom order.
 """
 
 from __future__ import annotations
@@ -245,6 +250,14 @@ class Field:
         self._values = tuple(values[a] for a in algebra.atoms)
 
     @classmethod
+    def _of(cls, algebra: MeasureAlgebra, values: tuple) -> "Field":
+        """Trusted constructor: one value per atom, in the algebra's atom order."""
+        out = object.__new__(cls)
+        out.algebra = algebra
+        out._values = values
+        return out
+
+    @classmethod
     def constant(cls, algebra: MeasureAlgebra, v: ExtValue) -> "Field":
         return cls(algebra, {a: v for a in algebra.atoms})
 
@@ -273,7 +286,7 @@ class Field:
     def map2(self, other: "Field", op: Callable[[ExtValue, ExtValue], ExtValue]) -> "Field":
         if self.algebra.atoms != other.algebra.atoms:
             raise ValueError("fields over different algebras")
-        return Field(self.algebra, {a: op(x, y) for a, x, y in zip(self.algebra.atoms, self._values, other._values)})
+        return Field._of(self.algebra, tuple(map(op, self._values, other._values)))
 
     def __add__(self, other: "Field") -> "Field":
         return self.map2(other, ext_add)
@@ -285,7 +298,7 @@ class Field:
         if isinstance(other, Field):
             return self.map2(other, ext_mul)
         scalar = Fraction(other) if isinstance(other, int) else other
-        return Field(self.algebra, {a: ext_mul(v, scalar) for a, v in zip(self.algebra.atoms, self._values)})
+        return Field._of(self.algebra, tuple(ext_mul(v, scalar) for v in self._values))
 
     __rmul__ = __mul__
 

@@ -196,6 +196,9 @@ def _cmd_explain(args) -> int:
     return EXIT_OK
 
 
+COMMANDS = {"run": _cmd_run, "verify": _cmd_verify, "explain": _cmd_explain}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cms", description="exact conditional measure theory, with built-in verification")
     sub = parser.add_subparsers(dest="command")
@@ -223,14 +226,22 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "explain":
-        return _cmd_explain(args)
-    parser.print_help()
-    return EXIT_USAGE
+    command = COMMANDS.get(args.command)
+    if command is None:
+        parser.print_help()
+        return EXIT_USAGE
+    try:
+        code = command(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`cms verify | head -1`).  Point
+        # stdout at devnull so the flush at exit cannot fail again, and
+        # exit 1 as Python does on EPIPE (see "Note on SIGPIPE" in the
+        # `signal` docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -7,6 +7,14 @@ element and is shared by all spaces.  Union, intersection, complement
 and concatenation along partitions make the collection of conditional
 sets a complete Boolean algebra; the operations here compute each of
 them exactly.
+
+`ConditionalSet(support, fibers)` validates its input: the fibers must
+sit exactly on the support and none may be empty.  The lattice
+operations (`cond_union`, `cond_intersection`, `cond_difference`,
+`ConditionalSet.restrict`, `CondSpace.complement`) build their results
+through the trusted `ConditionalSet._of`, because those results are
+well-formed by construction: they drop every atom whose fiber comes out
+empty, and they keep only frozensets.
 """
 
 from __future__ import annotations
@@ -73,9 +81,20 @@ class ConditionalSet:
         for a, ps in fib.items():
             if not ps:
                 raise ValueError(f"empty fiber at atom {a!r}; shrink the support instead")
-        object.__setattr__(self, "support", supp)
-        object.__setattr__(self, "fibers", fib)
-        object.__setattr__(self, "_key", (supp, frozenset(fib.items())))
+        _set_support(self, supp)
+        _set_fibers(self, fib)
+        _set_key(self, (supp, frozenset(fib.items())))
+
+    @classmethod
+    def _of(cls, fibers: dict[str, frozenset]) -> "ConditionalSet":
+        """Trusted constructor: ``fibers`` maps each supported atom to a
+        nonempty frozenset, and the support is its key set."""
+        out = object.__new__(cls)
+        supp = frozenset(fibers)
+        _set_support(out, supp)
+        _set_fibers(out, fibers)
+        _set_key(out, (supp, frozenset(fibers.items())))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("ConditionalSet is immutable")
@@ -86,8 +105,8 @@ class ConditionalSet:
 
     def restrict(self, event: Event) -> "ConditionalSet":
         """The same set conditioned on a smaller event: V|A restricted to B is V|(A and B)."""
-        keep = self.support & frozenset(event)
-        return ConditionalSet(keep, {a: self.fibers[a] for a in keep})
+        fibers = self.fibers
+        return ConditionalSet._of({a: fibers[a] for a in self.support & frozenset(event)})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConditionalSet):
@@ -105,6 +124,12 @@ class ConditionalSet:
         return f"ConditionalSet({inner})"
 
 
+# The slot setters of both constructors: they bypass the immutability
+# guard in `__setattr__`.
+_set_support = ConditionalSet.support.__set__
+_set_fibers = ConditionalSet.fibers.__set__
+_set_key = ConditionalSet._key.__set__
+
 #: The distinguished bottom element, shared by every conditional power set.
 BOTTOM = ConditionalSet(frozenset(), {})
 
@@ -117,13 +142,12 @@ def cond_le(v: ConditionalSet, w: ConditionalSet) -> bool:
 
 
 def cond_union(sets: Iterable[ConditionalSet]) -> ConditionalSet:
-    support: set[str] = set()
-    fibers: dict[str, set] = {}
+    fibers: dict[str, frozenset] = {}
     for s in sets:
-        for a in s.support:
-            fibers.setdefault(a, set()).update(s.fibers[a])
-        support |= s.support
-    return ConditionalSet(support, fibers)
+        for a, f in s.fibers.items():
+            have = fibers.get(a)
+            fibers[a] = f if have is None else have | f
+    return ConditionalSet._of(fibers)
 
 
 def cond_intersection(sets: Sequence[ConditionalSet]) -> ConditionalSet:
@@ -131,27 +155,29 @@ def cond_intersection(sets: Sequence[ConditionalSet]) -> ConditionalSet:
     sets = list(sets)
     if not sets:
         raise ValueError("empty intersection has no meaning without the ambient space")
-    support = set(sets[0].support)
-    for s in sets[1:]:
+    first, rest = sets[0], sets[1:]
+    support = first.support
+    for s in rest:
         support &= s.support
     fibers: dict[str, frozenset] = {}
     for a in support:
-        common = sets[0].fibers[a]
-        for s in sets[1:]:
-            common = common & s.fibers[a]
+        common = first.fibers[a]
+        for s in rest:
+            common &= s.fibers[a]
         if common:
             fibers[a] = common
-    return ConditionalSet(fibers.keys(), fibers)
+    return ConditionalSet._of(fibers)
 
 
 def cond_difference(w: ConditionalSet, v: ConditionalSet) -> ConditionalSet:
     """Relative complement w minus v, which never needs the ambient space."""
     fibers: dict[str, frozenset] = {}
-    for a in w.support:
-        rest = w.fibers[a] - v.fibers[a] if a in v.support else w.fibers[a]
+    cut = v.fibers
+    for a, f in w.fibers.items():
+        rest = f - cut[a] if a in cut else f
         if rest:
             fibers[a] = rest
-    return ConditionalSet(fibers.keys(), fibers)
+    return ConditionalSet._of(fibers)
 
 
 def membership_event(x: PointFun, v: ConditionalSet) -> Event:
@@ -219,14 +245,14 @@ class CondSpace:
         """
         e = self.space.point_set
         fibers: dict[str, frozenset] = {}
-        for a in v.support:
-            rest = e - v.fibers[a]
+        for a, f in v.fibers.items():
+            rest = e - f
             if rest:
                 fibers[a] = rest
         for a in self.algebra.atoms:
-            if a not in v.support:
+            if a not in v.fibers:
                 fibers[a] = e
-        return ConditionalSet(fibers.keys(), fibers)
+        return ConditionalSet._of(fibers)
 
     def concatenate(self, sets: Sequence[ConditionalSet], partition: Sequence[Event]) -> ConditionalSet:
         """Paste one conditional set per partition block into a single set."""

@@ -11,6 +11,13 @@ usual finiteness requirement for signed integrands.  The canonical
 level-set staircase (`integrate_nonneg`) and the dyadic staircase route
 (`integrate_via_dyadic`) build the supremum itself and serve as oracles
 for the block sum.
+
+`Integrand(sigma, values)` validates its input: a rational for every
+atom and ground point, constant on each block of ``sigma``.  Integrand
+arithmetic (`+`, `-`, `*`, `max2`, `min2`, `pos_part`, `neg_part`) and
+`indicator` build their results through the trusted `Integrand._of`:
+pointwise operations on block-constant rows are block-constant, and an
+indicator of a member of ``sigma`` is constant on its blocks.
 """
 
 from __future__ import annotations
@@ -23,6 +30,13 @@ from .algebra import Event, ExtValue, Field, ext_add, ext_mul, format_value
 from .condsets import ConditionalSet, PointFun, cond_intersection, cond_union
 from .measure import StableMeasure
 from .sigma import StableSigmaAlgebra
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _scaled(row: Mapping, r: Fraction) -> dict:
+    return {p: v * r for p, v in row.items()}
 
 
 class Integrand:
@@ -52,6 +66,15 @@ class Integrand:
         self.values = table
 
     @classmethod
+    def _of(cls, sigma: StableSigmaAlgebra, table: dict[str, dict]) -> "Integrand":
+        """Trusted constructor: ``table`` holds one row of rationals per atom,
+        in atom order, covering every ground point and constant on blocks."""
+        out = object.__new__(cls)
+        out.sigma = sigma
+        out.values = table
+        return out
+
+    @classmethod
     def constant(cls, sigma: StableSigmaAlgebra, r) -> "Integrand":
         r = Fraction(r)
         return cls(sigma, {a: {p: r for p in sigma.space.points} for a in sigma.algebra.atoms})
@@ -71,10 +94,11 @@ class Integrand:
     def _zip(self, other: "Integrand", op: Callable) -> "Integrand":
         if self.sigma != other.sigma:
             raise ValueError("integrands measurable against different sigma-algebras")
-        return Integrand(
-            self.sigma,
-            {a: {p: op(row[p], other.values[a][p]) for p in row} for a, row in self.values.items()},
-        )
+        table = {}
+        for a, row in self.values.items():
+            theirs = other.values[a]
+            table[a] = {p: op(v, theirs[p]) for p, v in row.items()}
+        return Integrand._of(self.sigma, table)
 
     def __add__(self, other: "Integrand") -> "Integrand":
         return self._zip(other, lambda x, y: x + y)
@@ -88,12 +112,9 @@ class Integrand:
         if isinstance(other, Field):
             if not other.is_finite():
                 raise ValueError("integrands scale by finite fields only")
-            return Integrand(
-                self.sigma,
-                {a: {p: v * other[a] for p, v in row.items()} for a, row in self.values.items()},
-            )
+            return Integrand._of(self.sigma, {a: _scaled(row, other[a]) for a, row in self.values.items()})
         r = Fraction(other)
-        return Integrand(self.sigma, {a: {p: v * r for p, v in row.items()} for a, row in self.values.items()})
+        return Integrand._of(self.sigma, {a: _scaled(row, r) for a, row in self.values.items()})
 
     __rmul__ = __mul__
 
@@ -104,10 +125,10 @@ class Integrand:
         return self._zip(other, min)
 
     def pos_part(self) -> "Integrand":
-        return Integrand(self.sigma, {a: {p: max(v, Fraction(0)) for p, v in row.items()} for a, row in self.values.items()})
+        return Integrand._of(self.sigma, {a: {p: max(v, _ZERO) for p, v in row.items()} for a, row in self.values.items()})
 
     def neg_part(self) -> "Integrand":
-        return Integrand(self.sigma, {a: {p: max(-v, Fraction(0)) for p, v in row.items()} for a, row in self.values.items()})
+        return Integrand._of(self.sigma, {a: {p: max(-v, _ZERO) for p, v in row.items()} for a, row in self.values.items()})
 
     def le(self, other: "Integrand") -> bool:
         if self.sigma != other.sigma:
@@ -163,8 +184,8 @@ def indicator(v: ConditionalSet, sigma: StableSigmaAlgebra) -> Integrand:
     values = {}
     for a in sigma.algebra.atoms:
         fiber = v.fibers.get(a, frozenset())
-        values[a] = {p: Fraction(1 if p in fiber else 0) for p in sigma.space.points}
-    return Integrand(sigma, values)
+        values[a] = {p: _ONE if p in fiber else _ZERO for p in sigma.space.points}
+    return Integrand._of(sigma, values)
 
 
 def concatenate_integrands(fs: Sequence[Integrand], partition: Sequence[Event]) -> Integrand:

@@ -7,6 +7,11 @@ whole axiom list on any measure-shaped object, so deliberately broken
 evaluators can be caught.  Pre-measures live on stable rings; their
 outer measures are computed by exact enumeration of finite ring covers
 and extend to the generated sigma-algebra.
+
+`StableMeasure(domain, block_mass)` validates its masses against the
+domain's blocks.  `StableMeasure.eval` checks that the domain can
+measure its argument, then sums each atom's block masses on integers
+and builds its `Field` through the trusted `Field._of`.
 """
 
 from __future__ import annotations
@@ -38,6 +43,30 @@ from .condsets import (
     cond_union,
 )
 from .sigma import StableRing, StableSigmaAlgebra, generate_sigma
+
+
+_ZERO = Fraction(0)
+
+
+def _mass_inside(masses: Mapping[frozenset, ExtValue], fiber: frozenset) -> ExtValue:
+    """The extended sum of the masses of the blocks inside ``fiber``.
+
+    Sums on integers, a numerator over a common denominator, and builds
+    one `Fraction` at the end; `INF` as soon as an infinite block lies
+    inside.
+    """
+    num, den = 0, 1
+    for b, m in masses.items():
+        if b <= fiber:
+            if m is INF:
+                return INF
+            d = m.denominator
+            if d == den:
+                num += m.numerator
+            else:
+                num = num * d + m.numerator * den
+                den *= d
+    return Fraction(num, den)
 
 
 class StableMeasure:
@@ -94,14 +123,14 @@ class StableMeasure:
         """Mass of a conditional set, atom by atom; zero off the support."""
         if not self.domain.contains(v):
             raise ValueError(f"not measurable: {v!r}")
-        values: dict[str, ExtValue] = {}
-        for a in self.algebra.atoms:
-            if a in v.support:
-                fiber = v.fibers[a]
-                values[a] = ext_sum(m for b, m in self.block_mass[a].items() if b <= fiber)
-            else:
-                values[a] = Fraction(0)
-        return Field(self.algebra, values)
+        fibers = v.fibers
+        return Field._of(
+            self.algebra,
+            tuple(
+                _mass_inside(self.block_mass[a], fibers[a]) if a in fibers else _ZERO
+                for a in self.algebra.atoms
+            ),
+        )
 
     def total(self) -> Field:
         """Mass of the whole covered region at every atom."""

@@ -627,8 +627,6 @@ def _q_radon_nikodym(scn: Scenario, q: dict, where: str) -> QueryResult:
 def _q_fubini(scn: Scenario, q: dict, where: str) -> QueryResult:
     mu = _arg(scn, q, "left", where)
     nu = _arg(scn, q, "right", where)
-    if "product" not in scn.spaces:
-        raise ScenarioError(f"{where}: iterated integrals need a second ground space")
     if not isinstance(mu.domain, StableSigmaAlgebra) or not isinstance(nu.domain, StableSigmaAlgebra):
         raise ScenarioError(f"{where}: both factors need sigma-algebra domains")
     psigma = product_sigma(mu.domain, nu.domain)

@@ -123,9 +123,8 @@ class _PerAtomFamily:
         return self.per_atom[atom]
 
     def contains(self, v: ConditionalSet) -> bool:
-        if not v.support <= set(self.algebra.atoms):
-            return False
-        return all(self.per_atom[a].contains(v.fibers[a]) for a in v.support)
+        per_atom = self.per_atom
+        return all(a in per_atom and per_atom[a].contains(f) for a, f in v.fibers.items())
 
     def members(self) -> Iterator[ConditionalSet]:
         """All members, by mixing per-atom options (exponential; small use only)."""

@@ -837,6 +837,16 @@ def _broken_dyadic(f: Integrand, n: int) -> ElementaryFunction:
     return ElementaryFunction(phi.sigma, [(coef + step, cell) for coef, cell in phi.terms])
 
 
+_original_integrand_mul = Integrand.__mul__
+
+
+def _broken_integrand_mul(self: Integrand, other):
+    # scales every atom by the first atom's factor of a field
+    if isinstance(other, Field):
+        other = Field.constant(other.algebra, other[other.algebra.atoms[0]])
+    return _original_integrand_mul(self, other)
+
+
 _original_cond_dist = kernels.conditional_distribution
 
 
@@ -885,6 +895,11 @@ FAULTS: dict[str, tuple[str, Callable, str]] = {
         "conditional distribution skips the renormalization by block weight",
         _swap(kernels, "conditional_distribution", _broken_cond_dist),
         "kernel",
+    ),
+    "integrand-scale-first-atom": (
+        "scaling an integrand by a field uses the first atom's factor on every atom",
+        _swap(Integrand, "__mul__", _broken_integrand_mul),
+        "daniell",
     ),
 }
 

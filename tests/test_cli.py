@@ -137,6 +137,23 @@ class TestVerify:
         assert cli.main(["verify", "--cases", "1"]) == 1
         assert "CMS_SEED must be an integer" in capsys.readouterr().err
 
+    def test_reader_closing_early_gets_no_traceback(self):
+        # unbuffered, so each line is written when printed; the suite
+        # runs for about a second before the next line meets the closed pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "condmeasure.cli", "verify", "--seed", "42", "--cases", "20", "--suite", "measure"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**subprocess_env(), "PYTHONUNBUFFERED": "1"},
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert first == b"seed 42, 20 cases per suite\n"
+        assert "Traceback" not in err, err
+
     def test_timings_go_to_stderr(self, capsys):
         assert cli.main(["verify", "--cases", "1", "--suite", "sigma", "--timings"]) == 0
         out = capsys.readouterr()

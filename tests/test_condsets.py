@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from condmeasure import (
     membership_event,
     product_space,
 )
+from condmeasure.verify import Draw, Size
 
 
 def mk(space, fibers):
@@ -151,3 +153,61 @@ class TestProducts:
         z = cartesian_product(v, w)
         assert z.support == frozenset({"a1"})
         assert z.fibers["a1"] == frozenset({(1, 2)})
+
+
+def assert_well_formed(v):
+    """The validating constructor accepts the set and rebuilds an equal one."""
+    rebuilt = ConditionalSet(v.support, v.fibers)
+    assert v == rebuilt and hash(v) == hash(rebuilt) and repr(v) == repr(rebuilt)
+    assert v.support == frozenset(v.fibers)
+    assert all(type(f) is frozenset and f for f in v.fibers.values())
+
+
+class TestLatticeResults:
+    """Lattice results are well-formed sets: the validating constructor
+    accepts each one and rebuilds an equal set."""
+
+    def test_disjoint_fibers_drop_their_atom(self, trio):
+        v = mk(trio, {"a1": {1}, "a2": {1, 2}})
+        w = mk(trio, {"a1": {2}, "a2": {2}})
+        meet = cond_intersection([v, w])
+        assert meet.support == frozenset({"a2"})
+        assert_well_formed(meet)
+        assert cond_intersection([mk(trio, {"a1": {1}}), mk(trio, {"a1": {2}})]) == BOTTOM
+        assert_well_formed(cond_difference(w, v))
+        assert cond_difference(w, cond_union([v, w])) == BOTTOM
+        assert trio.complement(trio.top) == BOTTOM
+
+    def test_seeded_results_match_the_validating_constructor(self):
+        seen = {"dropped atom": 0, "bottom": 0, "full fiber": 0}
+        for seed in range(300):
+            rng = random.Random(seed)
+            draw = Draw(rng)
+            cspace = draw.cspace(Size(rng.randint(1, 3), rng.randint(1, 4)))
+            u, v, w = (draw.cset(cspace) for _ in range(3))
+            ev = frozenset(a for a in cspace.algebra.atoms if rng.random() < 0.5)
+            results = {
+                "union": cond_union([v, w]),
+                "union3": cond_union([u, v, w]),
+                "union0": cond_union([]),
+                "meet": cond_intersection([v, w]),
+                "meet3": cond_intersection([u, v, w]),
+                "meet1": cond_intersection([v]),
+                "difference": cond_difference(v, w),
+                "restrict": v.restrict(ev),
+                "complement": cspace.complement(v),
+                "concatenate": cspace.concatenate([v, w], [ev, cspace.algebra.complement_event(ev)]),
+            }
+            for r in results.values():
+                assert_well_formed(r)
+            # each result against its atomwise definition
+            for a in cspace.algebra.atoms:
+                fv, fw = v.fibers.get(a, frozenset()), w.fibers.get(a, frozenset())
+                assert results["union"].fibers.get(a, frozenset()) == fv | fw
+                assert results["meet"].fibers.get(a, frozenset()) == fv & fw
+                assert results["difference"].fibers.get(a, frozenset()) == fv - fw
+                assert results["complement"].fibers.get(a, frozenset()) == cspace.space.point_set - fv
+                seen["dropped atom"] += a in v.support and a in w.support and not fv & fw
+                seen["full fiber"] += fv == cspace.space.point_set
+            seen["bottom"] += results["meet"].is_bottom
+        assert all(seen.values()), seen

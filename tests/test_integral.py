@@ -24,6 +24,7 @@ from condmeasure import (
     integrate_via_dyadic,
 )
 from condmeasure.integral import integrate_nonneg
+from condmeasure.measure import sample_members
 from condmeasure.verify import Draw, Size
 
 
@@ -294,3 +295,35 @@ class TestDyadicBuckets:
         f = Integrand(sigma, {"a1": {1: Fraction(0), 2: Fraction(1, 2**20)}})
         assert integrate_via_dyadic(f, mu).as_dict() == {"a1": Fraction(2, 3 * 2**20)}
         assert integrate_via_dyadic(f, mu) == integrate(f, mu)
+
+
+def assert_rebuilds(g):
+    """The validating constructor accepts the values and rebuilds an equal integrand."""
+    rebuilt = Integrand(g.sigma, g.values)
+    assert rebuilt == g and hash(rebuilt) == hash(g) and repr(rebuilt) == repr(g)
+    assert list(g.values) == list(g.sigma.algebra.atoms)
+    assert all(list(g.values[a]) == list(rebuilt.values[a]) for a in g.values)
+    assert all(type(v) is Fraction for row in g.values.values() for v in row.values())
+
+
+class TestArithmeticResults:
+    """Integrand arithmetic and indicators yield measurable integrands."""
+
+    def test_seeded_results_rebuild(self):
+        indicators = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            draw = Draw(rng)
+            sig = draw.sigma_algebra(draw.cspace(Size(rng.randint(1, 3), rng.randint(1, 4))))
+            f, g = draw.integrand(sig), draw.integrand(sig)
+            r = draw.scalar_field(sig.algebra)
+            for result in (
+                f + g, f - g, f * g, f * r, f * Fraction(2, 3), f * 2, 3 * f,
+                f.max2(g), f.min2(g), f.pos_part(), f.neg_part(),
+            ):
+                assert_rebuilds(result)
+            for v in sample_members(sig, 6, seed) + [draw.cset(sig.cspace)]:
+                if sig.contains(v):
+                    assert_rebuilds(indicator(v, sig))
+                    indicators += 1
+        assert indicators > 200

@@ -23,9 +23,10 @@ from condmeasure import (
     is_caratheodory_measurable,
     uniqueness_check,
 )
+from condmeasure.algebra import ext_sum
 from condmeasure.measure import sample_members
 from condmeasure.sigma import SetRing, mix_closure
-from condmeasure.verify import inject_fault
+from condmeasure.verify import Draw, Size, inject_fault
 
 #: Block masses drawn by the seeded tests: zero, finite positive, infinite.
 MASSES = (Fraction(0), Fraction(1, 3), Fraction(2), INF)
@@ -397,3 +398,63 @@ class TestUniqueness:
         assert mu.eval(mk(quad, {"a1": {1}})) != nu.eval(mk(quad, {"a1": {1}}))
         with pytest.raises(ValueError, match="pairwise meets"):
             uniqueness_check(mu, nu, [quad.top, twelve, thirteen])
+
+
+#: Masses for the block-sum tests: zero as int and Fraction, ints, mixed
+#: denominators and infinity.
+SUM_MASSES = (0, Fraction(0), 1, 3, Fraction(1, 3), Fraction(5, 6), Fraction(3, 4), Fraction(7, 10), INF)
+
+
+class TestBlockSum:
+    """`eval` is the extended sum of the block masses inside each fiber,
+    whatever the masses' types and denominators."""
+
+    def test_seeded_measures_match_the_extended_sum(self):
+        seen = {"infinite inside": 0, "zero mass": 0, "int mass": 0, "mixed denominators": 0, "off support": 0,
+                "ring": 0, "not measurable": 0}
+        for seed in range(300):
+            rng = random.Random(seed)
+            draw = Draw(rng)
+            cspace = draw.cspace(Size(rng.randint(1, 3), rng.randint(1, 4)))
+            domain = draw.ring(cspace) if rng.random() < 0.3 else draw.sigma_algebra(cspace)
+            seen["ring"] += isinstance(domain, StableRing)
+            mu = StableMeasure(
+                domain, {a: {b: rng.choice(SUM_MASSES) for b in domain.ring_at(a).blocks} for a in cspace.algebra.atoms}
+            )
+            sets = sample_members(domain, 24, seed) + [draw.cset(cspace) for _ in range(8)]
+            for v in sets:
+                if not domain.contains(v):
+                    with pytest.raises(ValueError) as err:
+                        mu.eval(v)
+                    assert str(err.value) == f"not measurable: {v!r}"
+                    seen["not measurable"] += 1
+                    continue
+                got = mu.eval(v)
+                assert Field(cspace.algebra, got.as_dict()) == got
+                for a in cspace.algebra.atoms:
+                    if a not in v.support:
+                        assert got[a] == 0 and type(got[a]) is Fraction
+                        seen["off support"] += 1
+                        continue
+                    inside = [m for b, m in mu.block_mass[a].items() if b <= v.fibers[a]]
+                    want = ext_sum(inside)
+                    assert got[a] == want and type(got[a]) is type(want), (v, mu)
+                    seen["infinite inside"] += INF in inside
+                    seen["zero mass"] += any(m == 0 for m in inside)
+                    seen["int mass"] += any(type(m) is int for m in inside)
+                    seen["mixed denominators"] += len({Fraction(m).denominator for m in inside if m is not INF}) > 1
+        assert all(seen.values()), seen
+
+    def test_field_arithmetic_results_are_well_formed(self):
+        for seed in range(100):
+            rng = random.Random(seed)
+            draw = Draw(rng)
+            algebra = draw.algebra(rng.randint(1, 3))
+            x = Field(algebra, {a: rng.choice(SUM_MASSES) for a in algebra.atoms})
+            y = Field(algebra, {a: rng.choice(SUM_MASSES) for a in algebra.atoms})
+            results = [x + y, x * y, x * 2, 3 * y, x * Fraction(1, 3)]
+            if y.is_finite():
+                results.append(x - y)
+            for r in results:
+                assert Field(algebra, r.as_dict()) == r
+                assert hash(Field(algebra, r.as_dict())) == hash(r)

@@ -230,3 +230,19 @@ class TestProductSpaces:
         report = run_scenario(build_scenario(doc))
         assert "  a1: {(1,1)}=1/2, {(1,2)}=0, {(1,3)}=0, {(2,1)}=0, {(2,2)}=1/2," in render_text(report)
         assert report.verified
+
+    def test_fubini_needs_no_second_ground_space(self):
+        doc = {
+            "atoms": [["a1", "1/2"], ["a2", "1/2"]],
+            "ground": [1, 2],
+            "sigma_algebras": {"F": {"blocks": "discrete", "on": "ground"}},
+            "measures": {
+                "mu": {"sigma": "F", "point_masses": {"a1": {"1": "1/2", "2": "1/2"}, "a2": {"1": "1/3", "2": "2/3"}}},
+                "nu": {"sigma": "F", "point_masses": {"a1": {"1": "1/4", "2": "3/4"}, "a2": {"1": "1/2", "2": "1/2"}}},
+            },
+            "functions": {"diagonal": {"values": [[[1, 1], "1"], [[1, 2], "0"], [[2, 1], "0"], [[2, 2], "1"]]}},
+            "queries": [{"op": "fubini", "left": "mu", "right": "nu", "function": "diagonal"}],
+        }
+        report = run_scenario(build_scenario(doc))
+        assert "  joint: a1=1/2, a2=1/2\n  oracle: agree\n" in render_text(report)
+        assert report.verified
