@@ -297,8 +297,12 @@ class Field:
     def __mul__(self, other: "Field | ExtValue | int") -> "Field":
         if isinstance(other, Field):
             return self.map2(other, ext_mul)
-        scalar = Fraction(other) if isinstance(other, int) else other
-        return Field._of(self.algebra, tuple(ext_mul(v, scalar) for v in self._values))
+        if isinstance(other, int):
+            other = Fraction(other)
+        elif not (isinstance(other, Fraction) or other is INF):
+            # an integrand scales itself by a field: `Integrand.__rmul__`
+            return NotImplemented
+        return Field._of(self.algebra, tuple(ext_mul(v, other) for v in self._values))
 
     __rmul__ = __mul__
 

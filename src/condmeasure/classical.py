@@ -56,6 +56,18 @@ def caratheodory_blocks(universe: frozenset, ring_masses: Mapping[frozenset, Ext
     return {b: outer_mass(ring_masses, b) for b in blocks}
 
 
+def caratheodory_from_blocks(universe: frozenset, block_masses: Mapping[frozenset, ExtValue]) -> dict[frozenset, ExtValue]:
+    """`caratheodory_blocks` of the ring whose blocks carry ``block_masses``:
+    every nonempty union of blocks is a member, with the summed mass."""
+    blocks = list(block_masses)
+    ring_masses = {
+        frozenset().union(*combo): ext_sum(block_masses[b] for b in combo)
+        for k in range(1, len(blocks) + 1)
+        for combo in combinations(blocks, k)
+    }
+    return caratheodory_blocks(universe, ring_masses)
+
+
 def hahn_positive(blocks: Iterable[frozenset], signed_masses: Mapping[frozenset, Fraction]) -> frozenset:
     """Union of the blocks with nonnegative signed mass."""
     out: set = set()

@@ -180,6 +180,17 @@ def cond_difference(w: ConditionalSet, v: ConditionalSet) -> ConditionalSet:
     return ConditionalSet._of(fibers)
 
 
+def _mixes(atoms: Sequence[str], options: Sequence[Sequence[frozenset | None]]) -> Iterator[ConditionalSet]:
+    """Every conditional set that takes one option per atom, in product order.
+
+    ``options[i]`` lists the choices at ``atoms[i]``: a nonempty fiber,
+    or None for leaving the atom off the support.  This is the one
+    enumeration of conditional sets from per-atom choices.
+    """
+    for combo in product(*options):
+        yield ConditionalSet._of({a: f for a, f in zip(atoms, combo) if f is not None})
+
+
 def membership_event(x: PointFun, v: ConditionalSet) -> Event:
     """The largest event on which the point choice x falls inside v."""
     return frozenset(a for a in v.support if x[a] in v.fibers[a])
@@ -273,19 +284,11 @@ class CondSpace:
             raise ValueError("stable_hull needs at least one point choice")
         return ConditionalSet(self.algebra.atoms, fibers)
 
-    def _atom_options(self) -> list[tuple]:
-        """Per atom: None for 'atom outside the support' plus every nonempty fiber."""
-        opts: list[frozenset | None] = [None]
-        pts = list(self.space.points)
-        for mask in range(1, 1 << len(pts)):
-            opts.append(frozenset(p for i, p in enumerate(pts) if mask >> i & 1))
-        return [tuple(opts) for _ in self.algebra.atoms]
-
     def all_sets(self) -> Iterator[ConditionalSet]:
         """Enumerate the whole conditional power set (exponential; small spaces only)."""
-        for combo in product(*self._atom_options()):
-            fibers = {a: f for a, f in zip(self.algebra.atoms, combo) if f is not None}
-            yield ConditionalSet(fibers.keys(), fibers)
+        pts = self.space.points
+        fibers = [frozenset(p for i, p in enumerate(pts) if mask >> i & 1) for mask in range(1, 1 << len(pts))]
+        yield from _mixes(self.algebra.atoms, [(None, *fibers)] * len(self.algebra.atoms))
 
     def count_sets(self) -> int:
         per_atom = (1 << len(self.space.points))  # nonempty fibers plus the 'absent' option

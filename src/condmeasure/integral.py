@@ -116,7 +116,8 @@ class Integrand:
         r = Fraction(other)
         return Integrand._of(self.sigma, {a: _scaled(row, r) for a, row in self.values.items()})
 
-    __rmul__ = __mul__
+    def __rmul__(self, other: "Field | Fraction | int") -> "Integrand":
+        return self * other
 
     def max2(self, other: "Integrand") -> "Integrand":
         return self._zip(other, max)
@@ -310,7 +311,11 @@ def integrate_nonneg(f: Integrand, mu: StableMeasure) -> Field:
     return elementary_integral(canonical_elementary(f), mu)
 
 
-def integrate_via_dyadic(f: Integrand, mu: StableMeasure, *, max_level: int = 64) -> Field:
+#: The deepest staircase level `integrate_via_dyadic` tries.
+_DYADIC_LEVELS = 64
+
+
+def integrate_via_dyadic(f: Integrand, mu: StableMeasure) -> Field:
     """The dyadic route to the same supremum.
 
     Raises the staircase level until each cell carries one value of f
@@ -319,7 +324,7 @@ def integrate_via_dyadic(f: Integrand, mu: StableMeasure, *, max_level: int = 64
     """
     if not f.is_nonnegative():
         raise ValueError("dyadic integration needs a nonnegative integrand")
-    for n in range(1, max_level + 1):
+    for n in range(1, _DYADIC_LEVELS + 1):
         staircase = dyadic_approximation(f, n)
         if all(
             len({f.values[a][p] for p in cell.fibers[a]}) == 1

@@ -14,33 +14,32 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import ExtValue, Field, INF, MeasureAlgebra, ext_sum, format_value
-from .condsets import CondSpace, ConditionalSet, GroundSpace, PointFun
+from .algebra import ExtValue, Field, MeasureAlgebra, ext_sum
+from .condsets import CondSpace, GroundSpace, PointFun
 from .integral import Integrand, integrate
 from .measure import StableMeasure
 from .sigma import SetRing, StableSigmaAlgebra
 
 
 class Kernel:
-    """One classical measure per atom on a single shared field of ground sets."""
+    """One classical measure per atom on a single shared field of ground sets.
 
-    __slots__ = ("cspace", "field", "block_mass")
+    That is the stable measure on the sigma-algebra that takes the
+    field at every atom, and the kernel holds it as `measure`: the mass
+    table, its checks and `is_probability` are the measure's.
+    """
+
+    __slots__ = ("field", "measure")
 
     def __init__(self, cspace: CondSpace, field: SetRing, block_mass: Mapping[str, Mapping[frozenset, ExtValue]]):
         if not field.is_field_on(cspace.space.point_set):
             raise ValueError("kernel target collection must be a field on the ground points")
-        table: dict[str, dict[frozenset, ExtValue]] = {}
-        for a in cspace.algebra.atoms:
-            given = dict(block_mass[a])
-            if set(given) != set(field.blocks):
-                raise ValueError(f"kernel masses at atom {a!r} must cover exactly the field blocks")
-            for b, m in given.items():
-                if m is not INF and m < 0:
-                    raise ValueError("kernel masses must be nonnegative")
-            table[a] = given
-        self.cspace = cspace
         self.field = field
-        self.block_mass = table
+        self.measure = StableMeasure(StableSigmaAlgebra(cspace, {a: field for a in cspace.algebra.atoms}), block_mass)
+
+    @property
+    def block_mass(self) -> dict[str, dict[frozenset, ExtValue]]:
+        return self.measure.block_mass
 
     def mass(self, atom: str, subset: frozenset) -> ExtValue:
         if not self.field.contains(frozenset(subset)):
@@ -48,7 +47,7 @@ class Kernel:
         return ext_sum(m for b, m in self.block_mass[atom].items() if b <= subset)
 
     def is_probability(self) -> bool:
-        return all(ext_sum(self.block_mass[a].values()) == 1 for a in self.cspace.algebra.atoms)
+        return self.measure.is_probability()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Kernel):
@@ -56,20 +55,13 @@ class Kernel:
         return self.field == other.field and self.block_mass == other.block_mass
 
     def __repr__(self) -> str:
-        parts = []
-        for a in self.cspace.algebra.atoms:
-            inner = ", ".join(
-                "{" + ",".join(map(str, sorted(b, key=str))) + "}=" + format_value(m)
-                for b, m in sorted(self.block_mass[a].items(), key=lambda kv: sorted(map(str, kv[0])))
-            )
-            parts.append(f"{a}: {inner}")
-        return "Kernel(" + "; ".join(parts) + ")"
+        # the measure's repr, under the kernel's name
+        return "Kernel" + repr(self.measure).removeprefix("StableMeasure")
 
 
 def kernel_to_measure(kappa: Kernel) -> StableMeasure:
     """Read a kernel as a stable measure on the induced stable sigma-algebra."""
-    sigma = StableSigmaAlgebra(kappa.cspace, {a: kappa.field for a in kappa.cspace.algebra.atoms})
-    return StableMeasure(sigma, kappa.block_mass)
+    return kappa.measure
 
 
 def _cdf_grid(coords_sorted: Sequence[Fraction]) -> list[Fraction]:
@@ -170,45 +162,32 @@ class SubAlgebra:
         return Field(self.algebra, {a: g[self._label_of[a]] for a in self.algebra.atoms})
 
 
-def conditional_distribution(
-    sub: SubAlgebra,
-    xi: PointFun,
-    space: GroundSpace,
-    field: SetRing | None = None,
-) -> StableMeasure:
+def conditional_distribution(sub: SubAlgebra, xi: PointFun, space: GroundSpace) -> StableMeasure:
     """The distribution of an observation conditioned on a sub-algebra.
 
-    Over each quotient atom the mass of a ground set is the joint
-    probability of landing in it, renormalized by the block weight.
+    Over each quotient atom the mass of a ground point is the joint
+    probability of observing it, renormalized by the block weight; the
+    domain is the discrete sigma-algebra over the quotient atoms.
     """
     algebra = sub.algebra
-    if field is None:
-        field = SetRing([frozenset((p,)) for p in space.points])
-    qspace = CondSpace(sub.quotient, space)
-    domain = StableSigmaAlgebra(qspace, {label: field for label in sub.labels})
+    domain = StableSigmaAlgebra.discrete(CondSpace(sub.quotient, space))
     table: dict[str, dict[frozenset, ExtValue]] = {}
     for label, block in zip(sub.labels, sub.blocks):
         total = sum((algebra.weights[a] for a in block), Fraction(0))
         table[label] = {
             b: sum((algebra.weights[a] for a in block if xi[a] in b), Fraction(0)) / total
-            for b in field.blocks
+            for b in domain.blocks(label)
         }
     return StableMeasure(domain, table)
 
 
-def conditional_expectation(
-    sub: SubAlgebra,
-    xi: PointFun,
-    space: GroundSpace,
-    f: Mapping,
-    field: SetRing | None = None,
-) -> Field:
+def conditional_expectation(sub: SubAlgebra, xi: PointFun, space: GroundSpace, f: Mapping) -> Field:
     """Expected value of f at the observation, given the sub-algebra.
 
     Returned over the quotient atoms; integrate the lifted function
     against the conditional distribution.
     """
-    dist = conditional_distribution(sub, xi, space, field)
+    dist = conditional_distribution(sub, xi, space)
     return integrate(Integrand.from_point_map(dist.domain, f), dist)
 
 

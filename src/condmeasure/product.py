@@ -139,23 +139,23 @@ class StableMarkovKernel:
     __slots__ = ("sx", "sy", "rows")
 
     def __init__(self, sx: StableSigmaAlgebra, sy: StableSigmaAlgebra, rows: Mapping[str, Mapping]):
+        table = {a: {p: {q: Fraction(v) for q, v in rows[a][p].items()} for p in rows[a]} for a in rows}
         for a in sx.algebra.atoms:
             for p in sx.space.points:
-                row = rows[a][p]
+                row = table[a][p]
                 if set(row) != sy.space.point_set:
                     raise ValueError("kernel rows must cover the right points")
-                if any(Fraction(v) < 0 for v in row.values()):
+                if any(v < 0 for v in row.values()):
                     raise ValueError("kernel rows must be nonnegative")
-                if sum(map(Fraction, row.values())) != 1:
+                if sum(row.values()) != 1:
                     raise ValueError("kernel rows must sum to one")
             for bx in sx.blocks(a):
-                reference = {q: Fraction(rows[a][next(iter(bx))][q]) for q in sy.space.points}
-                for p in bx:
-                    if {q: Fraction(rows[a][p][q]) for q in sy.space.points} != reference:
-                        raise ValueError("kernel rows must be constant on left blocks")
+                reference = table[a][next(iter(bx))]
+                if any(table[a][p] != reference for p in bx):
+                    raise ValueError("kernel rows must be constant on left blocks")
         self.sx = sx
         self.sy = sy
-        self.rows = {a: {p: {q: Fraction(v) for q, v in rows[a][p].items()} for p in rows[a]} for a in rows}
+        self.rows = table
 
     def row_mass(self, atom: str, p, ys: frozenset) -> Fraction:
         return sum((self.rows[atom][p][q] for q in ys), Fraction(0))
@@ -283,11 +283,14 @@ def rn_improvement_step(f: Integrand, mu: StableMeasure, nu: StableMeasure) -> I
     return f + slab
 
 
+#: Seeded random integrands per premise check of `daniell_stone_finite`.
+_PROBES = 8
+
+
 def daniell_stone_finite(
     cspace: CondSpace,
     functional: Callable[[Integrand], Field],
     *,
-    probes: int = 8,
     seed: int = 0,
 ) -> StableMeasure:
     """Represent a positive stable linear functional as an integral.
@@ -312,7 +315,7 @@ def daniell_stone_finite(
             },
         )
 
-    for _ in range(probes):
+    for _ in range(_PROBES):
         g = random_integrand(nonneg=True)
         if any(functional(g)[a] < 0 for a in algebra.atoms):
             raise ValueError("functional violates positivity")
@@ -336,7 +339,7 @@ def daniell_stone_finite(
                 raise ValueError("functional violates positivity")
             table[a][frozenset((p,))] = value
     measure = StableMeasure(sigma, table)
-    for _ in range(probes):
+    for _ in range(_PROBES):
         g = random_integrand(False)
         if functional(g) != integrate(g, measure):
             raise ValueError("functional is not the integral of its indicator measure")

@@ -659,19 +659,11 @@ def _q_caratheodory(scn: Scenario, q: dict, where: str) -> QueryResult:
     space = pre.domain.space
     with _located(where):
         ext = caratheodory_extend(pre)
-    agree = True
-    for a in scn.algebra.atoms:
-        ring = pre.domain.ring_at(a)
-        ring_masses = {}
-        for m in ring.members():
-            if m:
-                ring_masses[m] = ext_sum(pre.block_mass[a][b] for b in ring.blocks if b <= m)
-        if not ring_masses:
-            continue
-        want = classical.caratheodory_blocks(space.point_set, ring_masses)
-        for b, mass in want.items():
-            if ext.eval(ConditionalSet((a,), {a: b}))[a] != mass:
-                agree = False
+    agree = all(
+        ext.eval(ConditionalSet((a,), {a: b}))[a] == mass
+        for a in scn.algebra.atoms
+        for b, mass in classical.caratheodory_from_blocks(space.point_set, pre.block_mass[a]).items()
+    )
     lines, payload = _block_table(ext, space, str)
     lines.append(_oracle_line(agree))
     return QueryResult("caratheodory", f"extension of '{q['premeasure']}' to the generated sigma-algebra", lines,
@@ -691,9 +683,8 @@ def _q_markov_product(scn: Scenario, q: dict, where: str) -> QueryResult:
         for b in joint.domain.blocks(a):
             if joint.block_mass[a][b] != classical.mass_of(classic, b):
                 agree = False
-    full_y = ConditionalSet(scn.algebra.atoms, {a: kernel.sy.space.point_set for a in scn.algebra.atoms})
-    top_left = ConditionalSet(scn.algebra.atoms, {a: mu.domain.space.point_set for a in scn.algebra.atoms})
-    marginal_ok = joint.eval(cartesian_product(top_left, full_y)) == mu.eval(top_left)
+    top_left = mu.domain.cspace.top
+    marginal_ok = joint.eval(cartesian_product(top_left, kernel.sy.cspace.top)) == mu.eval(top_left)
     lines, payload = _block_table(joint, joint.domain.space, _format_point)
     lines.append(f"marginal matches the source: {'yes' if marginal_ok else 'NO'}")
     lines.append(_oracle_line(agree))

@@ -11,7 +11,6 @@ through classical signature partitions for cross-checking.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import classical
@@ -21,6 +20,8 @@ from .condsets import (
     ConditionalSet,
     GroundSpace,
     Point,
+    _mixes,
+    cond_difference,
     cond_intersection,
     cond_union,
 )
@@ -126,16 +127,14 @@ class _PerAtomFamily:
         per_atom = self.per_atom
         return all(a in per_atom and per_atom[a].contains(f) for a, f in v.fibers.items())
 
+    def atom_options(self, atom: str) -> list[frozenset | None]:
+        """A member's choices at one atom: None (off the support), then
+        every nonempty member of that atom's collection."""
+        return [None, *(m for m in self.per_atom[atom].members() if m)]
+
     def members(self) -> Iterator[ConditionalSet]:
         """All members, by mixing per-atom options (exponential; small use only)."""
-        options = []
-        for a in self.algebra.atoms:
-            opts: list[frozenset | None] = [None]
-            opts.extend(m for m in self.per_atom[a].members() if m)
-            options.append(opts)
-        for combo in product(*options):
-            fibers = {a: f for a, f in zip(self.algebra.atoms, combo) if f is not None}
-            yield ConditionalSet(fibers.keys(), fibers)
+        yield from _mixes(self.algebra.atoms, [self.atom_options(a) for a in self.algebra.atoms])
 
     def member_count(self) -> int:
         n = 1
@@ -151,6 +150,10 @@ class _PerAtomFamily:
     def __hash__(self) -> int:
         return hash((self.algebra.atoms, tuple(self.per_atom[a] for a in self.algebra.atoms)))
 
+    def __repr__(self) -> str:
+        inner = "; ".join(f"{a}:{self.per_atom[a]!r}" for a in self.algebra.atoms)
+        return f"{type(self).__name__}({inner})"
+
 
 class StableRing(_PerAtomFamily):
     """A stable ring: per atom a classical ring of fibers, any support allowed."""
@@ -159,10 +162,6 @@ class StableRing(_PerAtomFamily):
     def from_fiber_sets(cls, cspace: CondSpace, per_atom_sets: Mapping[str, Iterable[frozenset]]) -> "StableRing":
         per_atom = {a: SetRing.generated(list(per_atom_sets.get(a, ()))) for a in cspace.algebra.atoms}
         return cls(cspace, per_atom)
-
-    def __repr__(self) -> str:
-        inner = "; ".join(f"{a}:{self.per_atom[a]!r}" for a in self.algebra.atoms)
-        return f"StableRing({inner})"
 
 
 class StableSigmaAlgebra(_PerAtomFamily):
@@ -210,10 +209,6 @@ class StableSigmaAlgebra(_PerAtomFamily):
     def blocks(self, atom: str) -> tuple:
         return self.per_atom[atom].blocks
 
-    def __repr__(self) -> str:
-        inner = "; ".join(f"{a}:{self.per_atom[a]!r}" for a in self.algebra.atoms)
-        return f"StableSigmaAlgebra({inner})"
-
 
 def _mix_options(algebra: MeasureAlgebra, members: Iterable[ConditionalSet]) -> list[list]:
     options: dict[str, set] = {a: set() for a in algebra.atoms}
@@ -228,11 +223,9 @@ def mix_closure(cspace: CondSpace, members: Iterable[ConditionalSet]) -> frozens
     members = list(members)
     if not members:
         return frozenset()
-    out = set()
-    for combo in product(*_mix_options(cspace.algebra, members)):
-        fibers = {a: f for a, f in zip(cspace.algebra.atoms, combo) if f is not None}
-        out.add(ConditionalSet(fibers.keys(), fibers))
-    return frozenset(out)
+    # Copied from a set: a frozenset built straight from the generator
+    # would iterate in another order, and the closures iterate the result.
+    return frozenset(set(_mixes(cspace.algebra.atoms, _mix_options(cspace.algebra, members))))
 
 
 def is_stable_collection(cspace: CondSpace, members: Iterable[ConditionalSet]) -> bool:
@@ -242,11 +235,7 @@ def is_stable_collection(cspace: CondSpace, members: Iterable[ConditionalSet]) -
         return False
     if not all(cspace.contains(v) for v in ms):
         raise ValueError("members outside the conditional power set")
-    for combo in product(*_mix_options(cspace.algebra, ms)):
-        fibers = {a: f for a, f in zip(cspace.algebra.atoms, combo) if f is not None}
-        if ConditionalSet(fibers.keys(), fibers) not in ms:
-            return False
-    return True
+    return all(v in ms for v in _mixes(cspace.algebra.atoms, _mix_options(cspace.algebra, ms)))
 
 
 def classify(cspace: CondSpace, members: Iterable[ConditionalSet]) -> str:
@@ -268,7 +257,7 @@ def classify(cspace: CondSpace, members: Iterable[ConditionalSet]) -> str:
     )
     if has_top and complements and disjoint_unions:
         return "dynkin"
-    relative = all(cond_intersection([v, cspace.complement(w)]) in ms for v in listed for w in listed)
+    relative = all(cond_difference(v, w) in ms for v in listed for w in listed)
     if relative and all_unions:
         return "ring"
     return "none"

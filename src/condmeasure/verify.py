@@ -11,6 +11,7 @@ real bugs; the faults live here, never in the production modules.
 from __future__ import annotations
 
 import random
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,29 +85,28 @@ class Draw:
         k = self.rng.randint(1, len(space.points))
         return frozenset(self.rng.sample(space.points, k))
 
-    def cset(self, cspace: CondSpace, allow_bottom: bool = True) -> ConditionalSet:
+    def cset(self, cspace: CondSpace) -> ConditionalSet:
         fibers = {}
         for a in cspace.algebra.atoms:
             if self.rng.random() < 0.8:
                 fibers[a] = self.fiber(cspace.space)
-        if not fibers and not allow_bottom:
-            a = self.rng.choice(cspace.algebra.atoms)
-            fibers[a] = self.fiber(cspace.space)
         return ConditionalSet(fibers.keys(), fibers)
 
     def point_fun(self, cspace: CondSpace) -> dict:
         return {a: self.rng.choice(cspace.space.points) for a in cspace.algebra.atoms}
 
-    def partition_of_points(self, space: GroundSpace, max_blocks: int = 4) -> list[frozenset]:
-        labels = {p: self.rng.randrange(min(max_blocks, len(space.points))) for p in space.points}
+    def partition(self, items: Sequence, max_blocks: int) -> list[frozenset]:
+        """A random partition of ``items`` into at most ``max_blocks`` blocks."""
+        labels = {x: self.rng.randrange(min(max_blocks, len(items))) for x in items}
         blocks: dict[int, set] = {}
-        for p, l in labels.items():
-            blocks.setdefault(l, set()).add(p)
+        for x, l in labels.items():
+            blocks.setdefault(l, set()).add(x)
         return [frozenset(b) for b in blocks.values()]
 
-    def sigma_algebra(self, cspace: CondSpace, max_blocks: int = 4) -> StableSigmaAlgebra:
+    def sigma_algebra(self, cspace: CondSpace) -> StableSigmaAlgebra:
+        """Per atom, the field of a partition of the points into at most 4 blocks."""
         return StableSigmaAlgebra.from_blocks(
-            cspace, {a: self.partition_of_points(cspace.space, max_blocks) for a in cspace.algebra.atoms}
+            cspace, {a: self.partition(cspace.space.points, 4) for a in cspace.algebra.atoms}
         )
 
     def ring(self, cspace: CondSpace) -> StableRing:
@@ -119,16 +119,20 @@ class Draw:
         lo = 0 if nonneg else -4
         return Fraction(self.rng.randint(lo, 5), self.rng.randint(1, 4))
 
+    def probability_row(self, keys: Sequence) -> dict:
+        """Random rational masses on ``keys`` that sum to one."""
+        raw = [self.rng.randint(0, 5) for _ in keys]
+        if sum(raw) == 0:
+            raw[self.rng.randrange(len(raw))] = 1
+        total = sum(raw)
+        return {k: Fraction(w, total) for k, w in zip(keys, raw)}
+
     def measure_on(self, domain, allow_inf: bool = False, probability: bool = False) -> StableMeasure:
         table = {}
         for a in domain.algebra.atoms:
             blocks = domain.ring_at(a).blocks
             if probability:
-                raw = [self.rng.randint(0, 5) for _ in blocks]
-                if sum(raw) == 0:
-                    raw[self.rng.randrange(len(raw))] = 1
-                total = sum(raw)
-                table[a] = {b: Fraction(w, total) for b, w in zip(blocks, raw)}
+                table[a] = self.probability_row(blocks)
             else:
                 table[a] = {b: self.value(allow_inf=allow_inf) for b in blocks}
         return StableMeasure(domain, table)
@@ -137,11 +141,7 @@ class Draw:
         out = {}
         for a in cspace.algebra.atoms:
             if probability:
-                raw = [self.rng.randint(0, 5) for _ in cspace.space.points]
-                if sum(raw) == 0:
-                    raw[self.rng.randrange(len(raw))] = 1
-                total = sum(raw)
-                out[a] = {p: Fraction(w, total) for p, w in zip(cspace.space.points, raw)}
+                out[a] = self.probability_row(cspace.space.points)
             else:
                 out[a] = {p: self.value() for p in cspace.space.points}
         return out
@@ -157,17 +157,18 @@ class Draw:
             values[a] = row
         return Integrand(sig, values)
 
-    def scalar_field(self, algebra: MeasureAlgebra, nonneg: bool = False) -> Field:
-        return Field(algebra, {a: self.value(nonneg=nonneg) for a in algebra.atoms})
+    def scalar_field(self, algebra: MeasureAlgebra) -> Field:
+        return Field(algebra, {a: self.value(nonneg=False) for a in algebra.atoms})
 
-    def meet_closed_generator(self, cspace: CondSpace, max_members: int = 2, cap: int = 160) -> list[ConditionalSet]:
-        """A stable, meet-closed generator whose sigma-algebra stays small.
+    def meet_closed_generator(self, cspace: CondSpace, cap: int = 160) -> list[ConditionalSet]:
+        """A stable, meet-closed generator from one or two drawn sets whose
+        sigma-algebra stays small.
 
         Retries a few times, then falls back to a single-set generator,
         which is always small enough.
         """
         for attempt in range(10):
-            seeds = [self.cset(cspace) for _ in range(1 if attempt == 9 else self.rng.randint(1, max_members))]
+            seeds = [self.cset(cspace) for _ in range(1 if attempt == 9 else self.rng.randint(1, 2))]
             fam = {s for s in seeds if not s.is_bottom}
             if not fam:
                 continue
@@ -183,12 +184,9 @@ class Draw:
                 return sorted(fam, key=repr)
         raise AssertionError("could not draw a small meet-closed generator")
 
-    def atom_partition(self, algebra: MeasureAlgebra, max_blocks: int = 3) -> list[frozenset]:
-        labels = {a: self.rng.randrange(min(max_blocks, len(algebra.atoms))) for a in algebra.atoms}
-        blocks: dict[int, set] = {}
-        for a, l in labels.items():
-            blocks.setdefault(l, set()).add(a)
-        return [frozenset(b) for b in blocks.values()]
+    def atom_partition(self, algebra: MeasureAlgebra) -> list[frozenset]:
+        """A partition of the atoms into at most 3 events."""
+        return self.partition(algebra.atoms, 3)
 
     def event(self, algebra: MeasureAlgebra) -> frozenset:
         return frozenset(a for a in algebra.atoms if self.rng.random() < 0.5)
@@ -237,13 +235,13 @@ def _case_lattice(draw: Draw, size: Size) -> None:
 def exhaustive_complement_check(cspace: CondSpace) -> int:
     """Check the complement of every conditional set against a brute-force
     order-theoretic oracle: the join of everything disjoint from the set.
-    Returns the number of sets enumerated."""
+    Returns the number of sets enumerated.  Disjointness is read off the
+    fibers, so the oracle builds no meets."""
     sets = list(cspace.all_sets())
     for v in sets:
-        want = BOTTOM
-        for w in sets:
-            if condsets.cond_intersection([v, w]).is_bottom:
-                want = cond_union([want, w])
+        want = cond_union(
+            [w for w in sets if all(a not in w.fibers or f.isdisjoint(w.fibers[a]) for a, f in v.fibers.items())]
+        )
         got = cspace.complement(v)
         assert got == want, f"complement of {v!r}: {got!r} != brute-force {want!r}"
     return len(sets)
@@ -370,14 +368,7 @@ def _case_caratheodory(draw: Draw, size: Size) -> None:
         assert ext.eval(v) == pre.eval(v), f"extension disagrees on ring member {v!r}"
     # extension blocks match the classical fiberwise extension
     for a in cspace.algebra.atoms:
-        ring_masses: dict[frozenset, object] = {}
-        for m in ring.ring_at(a).members():
-            if m:
-                ring_masses[m] = ext_sum(pre.block_mass[a][b] for b in ring.ring_at(a).blocks if b <= m)
-        if not ring_masses:
-            continue
-        classical_blocks = classical.caratheodory_blocks(cspace.space.point_set, ring_masses)
-        for b, mass in classical_blocks.items():
+        for b, mass in classical.caratheodory_from_blocks(cspace.space.point_set, pre.block_mass[a]).items():
             got = ext.eval(ConditionalSet((a,), {a: b}))[a]
             assert got == mass, f"extension block {sorted(b)} at {a}: {format_value(got)} != {format_value(mass)}"
 
@@ -589,10 +580,9 @@ def _case_markov(draw: Draw, size: Size) -> None:
             want = sum((pm[a][p] * rows[a][p][q] for (p, q) in b), Fraction(0))
             assert joint.block_mass[a][b] == want, f"joint mass at {a}"
     # marginal: the first coordinate keeps the source law
-    full_y = ConditionalSet(algebra.atoms, {a: spy.point_set for a in algebra.atoms})
     v = draw.cset(cspace)
     v = v if sx.contains(v) else cspace.full_on(v.support)
-    assert joint.eval(cartesian_product(v, full_y)) == mu.eval(v), "marginal law"
+    assert joint.eval(cartesian_product(v, sy.cspace.top)) == mu.eval(v), "marginal law"
 
 
 def _case_hahn(draw: Draw, size: Size) -> None:
@@ -712,18 +702,27 @@ def _case_size(rng: random.Random, cap: Size) -> Size:
     return Size(rng.randint(1, cap.atoms), rng.randint(2, cap.points))
 
 
+def _failure(case: Callable[[Draw, Size], None], rng: random.Random, size: Size) -> str | None:
+    """The failure message of one run of a case, or None when it passes.
+
+    A failed check reports its witness; any other exception is named."""
+    try:
+        case(Draw(rng), size)
+    except AssertionError as exc:
+        return str(exc)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
 def _shrink(case: Callable[[Draw, Size], None], seed: int, index: int, cap: Size, message: str) -> str:
     """Re-run a failing case at smaller sizes; report the smallest witness."""
     for size in SHRINK_LADDER:
         if size.atoms > cap.atoms or size.points > cap.points:
             continue
-        rng = random.Random(seed * 1000003 + index)
-        try:
-            case(Draw(rng), size)
-        except AssertionError as exc:
-            return f"(shrunk to {size.atoms} atoms, {size.points} points) {exc}"
-        except Exception as exc:
-            return f"(shrunk to {size.atoms} atoms, {size.points} points) {type(exc).__name__}: {exc}"
+        found = _failure(case, random.Random(seed * 1000003 + index), size)
+        if found is not None:
+            return f"(shrunk to {size.atoms} atoms, {size.points} points) {found}"
     return message
 
 
@@ -732,13 +731,9 @@ def run_suite(name: str, seed: int, cases: int) -> SuiteResult:
     failures: list[str] = []
     for i in range(cases):
         rng = random.Random(seed * 1000003 + i)
-        size = _case_size(rng, cap)
-        try:
-            case(Draw(rng), size)
-        except AssertionError as exc:
-            failures.append(f"case {i}: {_shrink(case, seed, i, cap, str(exc))}")
-        except Exception as exc:
-            failures.append(f"case {i}: {_shrink(case, seed, i, cap, f'{type(exc).__name__}: {exc}')}")
+        message = _failure(case, rng, _case_size(rng, cap))
+        if message is not None:
+            failures.append(f"case {i}: {_shrink(case, seed, i, cap, message)}")
         if len(failures) >= 3:
             break
     return SuiteResult(name, cases, failures)
@@ -755,17 +750,36 @@ def run_suites(names: Sequence[str] | None, seed: int, cases: int) -> list[Suite
 # ---------------------------------------------------------------------------
 # fault injection: deliberately broken variants of production operations
 
-def _swap(obj, attr: str, replacement):
+@dataclass(frozen=True)
+class _Swap:
+    """Calling it gives a context that replaces ``owner.attr``, and every
+    module-level binding of it in the other ``condmeasure`` modules (they
+    import functions by name), by ``replacement``, and restores them all
+    on exit.  This module keeps its own bindings: the broken variants
+    call the originals through them.
+    """
+
+    owner: object
+    attr: str
+    replacement: Callable
+
     @contextmanager
-    def patch():
-        original = getattr(obj, attr)
-        setattr(obj, attr, replacement)
+    def __call__(self):
+        original = getattr(self.owner, self.attr)
+        bindings = {(self.owner, self.attr)} | {
+            (module, name)
+            for key, module in list(sys.modules.items())
+            if key.partition(".")[0] == __package__ and key != __name__
+            for name, value in vars(module).items()
+            if value is original
+        }
+        for owner, name in bindings:
+            setattr(owner, name, self.replacement)
         try:
             yield
         finally:
-            setattr(obj, attr, original)
-
-    return patch
+            for owner, name in bindings:
+                setattr(owner, name, original)
 
 
 def _broken_complement(self: CondSpace, v: ConditionalSet) -> ConditionalSet:
@@ -850,9 +864,9 @@ def _broken_integrand_mul(self: Integrand, other):
 _original_cond_dist = kernels.conditional_distribution
 
 
-def _broken_cond_dist(sub, xi, space, field=None):
+def _broken_cond_dist(sub, xi, space):
     # forgets to renormalize by the block weight
-    out = _original_cond_dist(sub, xi, space, field)
+    out = _original_cond_dist(sub, xi, space)
     table = {}
     for label, block in zip(sub.labels, sub.blocks):
         total = sum((sub.algebra.weights[a] for a in block), Fraction(0))
@@ -863,42 +877,42 @@ def _broken_cond_dist(sub, xi, space, field=None):
 FAULTS: dict[str, tuple[str, Callable, str]] = {
     "complement-support": (
         "complement forgets the region outside the support",
-        _swap(CondSpace, "complement", _broken_complement),
+        _Swap(CondSpace, "complement", _broken_complement),
         "lattice",
     ),
     "intersection-empty-fiber": (
         "intersection keeps atoms whose fibers do not overlap",
-        _swap(condsets, "cond_intersection", _broken_intersection),
+        _Swap(condsets, "cond_intersection", _broken_intersection),
         "lattice",
     ),
     "measure-eval-max": (
         "measure evaluation takes the largest block mass instead of the sum",
-        _swap(StableMeasure, "eval", _broken_eval),
+        _Swap(StableMeasure, "eval", _broken_eval),
         "measure",
     ),
     "outer-ignores-uncovered": (
         "outer measure reports zero instead of infinity off the coverable event",
-        _swap(OuterMeasure, "evaluate", _broken_outer_evaluate),
+        _Swap(OuterMeasure, "evaluate", _broken_outer_evaluate),
         "outer",
     ),
     "caratheodory-rejects-uncovered": (
         "Caratheodory test also rejects sets reaching points the ring does not cover",
-        _swap(measure, "is_caratheodory_measurable", _broken_measurable),
+        _Swap(measure, "is_caratheodory_measurable", _broken_measurable),
         "caratheodory",
     ),
     "dyadic-ceil": (
         "dyadic staircase rounds up and overshoots the integrand",
-        _swap(integral, "dyadic_approximation", _broken_dyadic),
+        _Swap(integral, "dyadic_approximation", _broken_dyadic),
         "integral",
     ),
     "cond-expect-unnormalized": (
         "conditional distribution skips the renormalization by block weight",
-        _swap(kernels, "conditional_distribution", _broken_cond_dist),
+        _Swap(kernels, "conditional_distribution", _broken_cond_dist),
         "kernel",
     ),
     "integrand-scale-first-atom": (
         "scaling an integrand by a field uses the first atom's factor on every atom",
-        _swap(Integrand, "__mul__", _broken_integrand_mul),
+        _Swap(Integrand, "__mul__", _broken_integrand_mul),
         "daniell",
     ),
 }

@@ -117,6 +117,15 @@ class TestVerify:
         assert f"suite {paired}: FAILED" in out
         assert "1 of 1 suites FAILED" in out
 
+    @pytest.mark.parametrize(
+        "golden, extra",
+        [("verify_seed42_cases25.txt", []), ("verify_seed42_cases25_complement-support.txt", ["--fault", "complement-support"])],
+    )
+    def test_transcript_is_golden(self, golden, extra, capsys):
+        # the faulted run prints witnesses, so it also pins the order of the draws
+        cli.main(["verify", "--seed", "42", "--cases", "25"] + extra)
+        assert capsys.readouterr().out == (GOLDEN_DIR / golden).read_text()
+
     def test_caratheodory_fault_is_caught_at_the_acceptance_seed(self, capsys):
         args = ["verify", "--suite", "caratheodory", "--seed", "42", "--cases", "100"]
         assert cli.main(args + ["--fault", "caratheodory-rejects-uncovered"]) == 3

@@ -17,6 +17,7 @@ from condmeasure import (
     membership_event,
     product_space,
 )
+from condmeasure.condsets import _mixes
 from condmeasure.verify import Draw, Size
 
 
@@ -133,6 +134,30 @@ class TestEnumeration:
         assert len(sets) == trio.count_sets() == (2 ** 3) ** 2
         assert len(set(sets)) == len(sets)
         assert BOTTOM in sets and trio.top in sets
+
+    def test_enumerator_is_the_plain_product(self):
+        atoms = ("a1", "a2", "a3")
+        options = [[None, frozenset({1})], [frozenset({2}), None, frozenset({1, 2})], [None, frozenset({3})]]
+        want = []
+        for x in options[0]:
+            for y in options[1]:
+                for z in options[2]:
+                    fibers = {a: f for a, f in zip(atoms, (x, y, z)) if f is not None}
+                    want.append(ConditionalSet(fibers.keys(), fibers))
+        got = list(_mixes(atoms, options))
+        assert got == want
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+
+    def test_all_sets_in_product_order(self, trio):
+        # per atom: off the support, then the nonempty fibers by bitmask
+        pts = trio.space.points
+        options = [None] + [frozenset(p for i, p in enumerate(pts) if m >> i & 1) for m in range(1, 8)]
+        want = []
+        for f1 in options:
+            for f2 in options:
+                fibers = {a: f for a, f in (("a1", f1), ("a2", f2)) if f is not None}
+                want.append(ConditionalSet(fibers.keys(), fibers))
+        assert list(trio.all_sets()) == want
 
     def test_point_funs_cover_all_choices(self, trio):
         funs = list(trio.point_funs())

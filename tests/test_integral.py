@@ -71,6 +71,14 @@ class TestIntegrand:
         scaled = f * weights
         assert scaled.value("a1", 2) == 6 and scaled.value("a2", 2) == 0
 
+    def test_field_scaling_commutes(self, setting):
+        sigma, _, f = setting
+        r = Field(sigma.algebra, {"a1": Fraction(2), "a2": Fraction(-1, 3)})
+        assert isinstance(r * f, Integrand)
+        assert r * f == f * r
+        with pytest.raises(TypeError):
+            r * "x"
+
     def test_level_sets(self, setting, coin_space):
         _, _, f = setting
         assert f.level_at_least(Fraction(2)) == mk(coin_space, {"a1": {2}, "a2": {2}})

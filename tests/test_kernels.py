@@ -8,7 +8,9 @@ from condmeasure import (
     GroundSpace,
     INF,
     Integrand,
+    Kernel,
     MeasureAlgebra,
+    SetRing,
     StableMeasure,
     StableSigmaAlgebra,
     SubAlgebra,
@@ -63,6 +65,45 @@ class TestKernelTranslation:
         )
         with pytest.raises(ValueError, match="probability"):
             measure_to_kernel(heavy)
+
+
+class TestKernel:
+    """A kernel holds the stable measure it represents."""
+
+    @pytest.fixture
+    def triple(self, coin_algebra):
+        cspace = CondSpace(coin_algebra, GroundSpace((0, 1, 2)))
+        field = SetRing([frozenset({0}), frozenset({1, 2})])
+        masses = {
+            "a1": {frozenset({0}): Fraction(1, 3), frozenset({1, 2}): Fraction(2, 3)},
+            "a2": {frozenset({1, 2}): INF, frozenset({0}): Fraction(0)},
+        }
+        return cspace, field, masses
+
+    def test_interface_and_repr(self, triple):
+        cspace, field, masses = triple
+        kappa = Kernel(cspace, field, masses)
+        assert repr(kappa) == "Kernel(a1: {0}=1/3, {1,2}=2/3; a2: {0}=0, {1,2}=inf)"
+        assert kappa.field == field and kappa.block_mass == masses
+        assert kappa.mass("a1", frozenset({0, 1, 2})) == 1 and kappa.mass("a2", frozenset()) == 0
+        assert kappa.mass("a2", frozenset({1, 2})) is INF
+        assert not kappa.is_probability()
+        assert kernel_to_measure(kappa) is kappa.measure
+        assert kappa.measure.domain == StableSigmaAlgebra(cspace, {a: field for a in cspace.algebra.atoms})
+        assert kappa == Kernel(cspace, field, {a: dict(row) for a, row in masses.items()})
+        with pytest.raises(ValueError, match="not measurable"):
+            kappa.mass("a1", frozenset({1}))
+
+    def test_validation(self, triple):
+        cspace, field, masses = triple
+        with pytest.raises(ValueError, match="must be a field"):
+            Kernel(cspace, SetRing([frozenset({0}), frozenset({1})]), masses)
+        missing = {**masses, "a1": {frozenset({0}): Fraction(1)}}
+        extra = {**masses, "a1": {**masses["a1"], frozenset({0, 1, 2}): Fraction(0)}}
+        negative = {**masses, "a2": {frozenset({0}): Fraction(-1), frozenset({1, 2}): Fraction(2)}}
+        for table in (missing, extra, negative):
+            with pytest.raises(ValueError):
+                Kernel(cspace, field, table)
 
 
 class TestSubAlgebra:

@@ -5,6 +5,7 @@ import pytest
 from condmeasure import (
     BOTTOM,
     CondSpace,
+    ConditionalSet,
     GroundSpace,
     MeasureAlgebra,
     SetRing,
@@ -92,6 +93,18 @@ class TestStableFamilies:
 
 
 class TestMixes:
+    def test_members_in_product_order(self, trio):
+        ring = StableRing.from_fiber_sets(trio, {"a1": [frozenset({1}), frozenset({1, 2})], "a2": [frozenset({3})]})
+        assert ring.atom_options("a1") == [None, frozenset({1}), frozenset({2}), frozenset({1, 2})]
+        want = []
+        for f1 in ring.atom_options("a1"):
+            for f2 in (None, frozenset({3})):
+                fibers = {a: f for a, f in (("a1", f1), ("a2", f2)) if f is not None}
+                want.append(ConditionalSet(fibers.keys(), fibers))
+        assert list(ring.members()) == want
+        assert repr(ring) == "StableRing(a1:SetRing({1}, {2}); a2:SetRing({3}))"
+        assert repr(StableSigmaAlgebra.trivial(trio)) == "StableSigmaAlgebra(a1:SetRing({1,2,3}); a2:SetRing({1,2,3}))"
+
     def test_mix_closure_adds_all_concatenations(self, trio):
         v = mk(trio, {"a1": {1}, "a2": {1}})
         w = mk(trio, {"a1": {2}, "a2": {2}})

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,49 @@ class TestFaults:
         # the patch must restore cleanly
         again = run_suite(paired, seed=0, cases=12)
         assert again.ok, again.failures
+
+    @pytest.mark.parametrize("name", sorted(FAULTS))
+    def test_fault_replaces_every_binding(self, name):
+        _, swap, _ = FAULTS[name]
+        original = getattr(swap.owner, swap.attr)
+        modules = [
+            m for n, m in sorted(sys.modules.items())
+            if (n == "condmeasure" or n.startswith("condmeasure.")) and n != "condmeasure.verify"
+        ]
+
+        def bindings(value):
+            return {(m.__name__, k) for m in modules for k, v in vars(m).items() if v is value}
+
+        before = bindings(original)
+        with inject_fault(name):
+            assert getattr(swap.owner, swap.attr) is swap.replacement
+            assert bindings(original) == set()
+            assert bindings(swap.replacement) == before
+        assert getattr(swap.owner, swap.attr) is original
+        assert bindings(original) == before
+        assert bindings(swap.replacement) == set()
+
+    def test_intersection_fault_reaches_the_importing_modules(self):
+        from condmeasure import condsets, integral, measure, sigma
+
+        original = condsets.cond_intersection
+        with inject_fault("intersection-empty-fiber"):
+            broken = condsets.cond_intersection
+            assert broken is not original
+            assert sigma.cond_intersection is measure.cond_intersection is integral.cond_intersection is broken
+        assert sigma.cond_intersection is measure.cond_intersection is integral.cond_intersection is original
+
+    def test_scaling_fault_reaches_left_scaling(self):
+        from condmeasure import Field, Integrand, StableSigmaAlgebra
+
+        algebra = MeasureAlgebra.uniform(["a1", "a2"])
+        sigma = StableSigmaAlgebra.discrete(CondSpace(algebra, GroundSpace((1, 2))))
+        f = Integrand.constant(sigma, 1)
+        r = Field(algebra, {"a1": Fraction(2), "a2": Fraction(3)})
+        assert (r * f).values["a2"][1] == 3
+        with inject_fault("integrand-scale-first-atom"):
+            assert (r * f).values["a2"][1] == 2
+            assert (f * r).values["a2"][1] == 2
 
     def test_failures_carry_witnesses(self):
         with inject_fault("complement-support"):
