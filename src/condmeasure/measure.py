@@ -12,10 +12,20 @@ and extend to the generated sigma-algebra.
 domain's blocks.  `StableMeasure.eval` checks that the domain can
 measure its argument, then sums each atom's block masses on integers
 and builds its `Field` through the trusted `Field._of`.
+
+`check_measure_axioms` turns each value of its pair loop into scaled
+numerators: per atom, the value times the least common multiple of the
+denominators of that atom's finite block masses.  Every sum of block
+masses is then an `int`, and a sum, difference or comparison of scaled
+values holds exactly when it holds for the values themselves, because
+the scale is positive; a value off that lattice stays an exact
+`Fraction`, and `INF` stays `INF`.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -198,6 +208,19 @@ class AxiomReport:
         return self.ok
 
 
+def _scaled(field: Field, scale: tuple[int, ...]) -> tuple:
+    """The values of ``field`` times each atom's scale: an `int` when the
+    product is whole, an exact `Fraction` otherwise, and `INF` as `INF`."""
+    out = []
+    for x, d in zip(field._values, scale):
+        if x is INF:
+            out.append(INF)
+        else:
+            whole, rest = divmod(x.numerator * d, x.denominator)
+            out.append(x * d if rest else whole)
+    return tuple(out)
+
+
 def check_measure_axioms(mu, *, cap: int = 200) -> AxiomReport:
     """Behavioral check of the measure axiom list on sampled members.
 
@@ -211,16 +234,29 @@ def check_measure_axioms(mu, *, cap: int = 200) -> AxiomReport:
     and its value read from a table.  Localization and the limit checks
     evaluate afresh, so an evaluator that answers differently for the
     same set is still caught.
+
+    The pair loop compares scaled numerators, not `Field`s of
+    `Fraction`s.  Each atom's scale is the least common multiple of the
+    denominators of its finite block masses, so every value on the
+    block-mass lattice scales to an `int`, and sums, differences and
+    comparisons run on integers.  A value off that lattice (only a
+    broken evaluator returns one) scales to an exact `Fraction`, so the
+    comparisons stay exact either way.
     """
     algebra = mu.domain.algebra
     members = sample_members(mu.domain, cap)
-    table: dict[ConditionalSet, Field | None] = {}
+    scale = tuple(
+        math.lcm(*(m.denominator for m in mu.block_mass[a].values() if m is not INF)) for a in algebra.atoms
+    )
+    table: dict[ConditionalSet, tuple | None] = {}
 
-    def value(v: ConditionalSet) -> Field | None:
-        """The mass of ``v``, or None when the domain cannot measure it."""
-        if v not in table:
-            table[v] = mu.eval(v) if mu.domain.contains(v) else None
-        return table[v]
+    def value(v: ConditionalSet) -> tuple | None:
+        """The scaled mass of ``v``, or None when the domain cannot measure it."""
+        try:
+            return table[v]
+        except KeyError:
+            out = table[v] = _scaled(mu.eval(v), scale) if mu.domain.contains(v) else None
+            return out
 
     def fail(axiom: str, witness: str) -> AxiomReport:
         return AxiomReport(False, axiom, witness)
@@ -228,36 +264,38 @@ def check_measure_axioms(mu, *, cap: int = 200) -> AxiomReport:
     events: list[Event] = [frozenset((a,)) for a in algebra.atoms]
     events.append(frozenset(algebra.atoms))
     for v in members:
-        mv = table[v] = mu.eval(v)
+        mv = mu.eval(v)
+        table[v] = _scaled(mv, scale)
         for ev in events:
             if mu.eval(v.restrict(ev)) != mv.restrict(ev):
                 return fail("localization", f"{v!r} restricted to {sorted(ev)}")
         if any(mv[a] != 0 for a in algebra.atoms if a not in v.support):
             return fail("localization", f"{v!r} carries mass off its support")
 
-    pairs = [(v, w) for i, v in enumerate(members) for w in members[i:]]
-    for v, w in pairs:
-        mv, mw = table[v], table[w]
-        i = cond_intersection([v, w])
-        mu_u, mu_i = value(cond_union([v, w])), value(i)
-        if mu_u is None or mu_i is None:
-            continue
-        total = mv + mw
-        if i.is_bottom and mu_u != total:
-            return fail("additivity", f"{v!r} and {w!r}")
-        if mu_u + mu_i != total:
-            return fail("modularity", f"{v!r} and {w!r}")
-        if not mu_u.le(total):
-            return fail("subadditivity", f"{v!r} and {w!r}")
-        for lo, hi, mlo, mhi in ((v, w, mv, mw), (w, v, mw, mv)):
-            if cond_le(lo, hi):
-                if not mlo.le(mhi):
-                    return fail("monotonicity", f"{lo!r} inside {hi!r}")
-                mdiff = value(cond_difference(hi, lo))
-                if mdiff is not None:
-                    for a in algebra.atoms:
-                        if is_finite(mlo[a]) and mdiff[a] != ext_sub(mhi[a], mlo[a]):
-                            return fail("subtraction", f"{hi!r} minus {lo!r} at atom {a}")
+    for k, v in enumerate(members):
+        mv = table[v]
+        for w in members[k:]:
+            mw = table[w]
+            i = cond_intersection([v, w])
+            mu_u, mu_i = value(cond_union([v, w])), value(i)
+            if mu_u is None or mu_i is None:
+                continue
+            total = tuple(map(ext_add, mv, mw))
+            if i.is_bottom and mu_u != total:
+                return fail("additivity", f"{v!r} and {w!r}")
+            if tuple(map(ext_add, mu_u, mu_i)) != total:
+                return fail("modularity", f"{v!r} and {w!r}")
+            if not all(map(operator.le, mu_u, total)):
+                return fail("subadditivity", f"{v!r} and {w!r}")
+            for lo, hi, mlo, mhi in ((v, w, mv, mw), (w, v, mw, mv)):
+                if cond_le(lo, hi):
+                    if not all(map(operator.le, mlo, mhi)):
+                        return fail("monotonicity", f"{lo!r} inside {hi!r}")
+                    mdiff = value(cond_difference(hi, lo))
+                    if mdiff is not None:
+                        for a, d, x, y in zip(algebra.atoms, mdiff, mhi, mlo):
+                            if y is not INF and d != ext_sub(x, y):
+                                return fail("subtraction", f"{hi!r} minus {lo!r} at atom {a}")
 
     rng = random.Random(1)
     for _ in range(min(20, len(members))):

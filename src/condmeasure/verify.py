@@ -274,11 +274,15 @@ def _case_sigma(draw: Draw, size: Size) -> None:
 
     # preimage respects the lattice
     w1, w2 = draw.cset(cspace), draw.cset(cspace)
-    assert cond_preimage(f, cond_union([w1, w2])) == cond_union([cond_preimage(f, w1), cond_preimage(f, w2)])
+    assert cond_preimage(f, cond_union([w1, w2])) == cond_union(
+        [cond_preimage(f, w1), cond_preimage(f, w2)]
+    ), f"preimage of the union of {w1!r} and {w2!r}"
     assert cond_preimage(f, condsets.cond_intersection([w1, w2])) == condsets.cond_intersection(
         [cond_preimage(f, w1), cond_preimage(f, w2)]
-    )
-    assert cond_preimage(f, cspace.complement(w1)) == cspace.complement(cond_preimage(f, w1))
+    ), f"preimage of the meet of {w1!r} and {w2!r}"
+    assert cond_preimage(f, cspace.complement(w1)) == cspace.complement(
+        cond_preimage(f, w1)
+    ), f"preimage of the complement of {w1!r}"
 
 
 def _case_measure(draw: Draw, size: Size) -> None:
@@ -538,11 +542,13 @@ def _case_product(draw: Draw, size: Size) -> None:
     x = draw.point_fun(cspace)
     assert products.section_at(cond_union([z1, z2]), x) == cond_union(
         [products.section_at(z1, x), products.section_at(z2, x)]
-    )
+    ), f"section at {x!r} of the union of {z1!r} and {z2!r}"
     assert products.section_at(condsets.cond_intersection([z1, z2]), x) == condsets.cond_intersection(
         [products.section_at(z1, x), products.section_at(z2, x)]
-    )
-    assert products.section_at(pcs.complement(z1), x) == csy.complement(products.section_at(z1, x))
+    ), f"section at {x!r} of the meet of {z1!r} and {z2!r}"
+    assert products.section_at(pcs.complement(z1), x) == csy.complement(
+        products.section_at(z1, x)
+    ), f"section at {x!r} of the complement of {z1!r}"
     assert products.section_at(cartesian_product(v, w), x) == w.restrict(membership_event(x, v)), "rectangle section"
     ev = draw.event(algebra)
     assert products.section_at(z1.restrict(ev), x) == products.section_at(z1, x).restrict(ev), "section localization"

@@ -19,11 +19,13 @@ from condmeasure import (
     check_measure_axioms,
     cond_difference,
     cond_intersection,
+    cond_le,
+    cond_union,
     generate_sigma,
     is_caratheodory_measurable,
     uniqueness_check,
 )
-from condmeasure.algebra import ext_sum
+from condmeasure.algebra import ext_add, ext_sub, ext_sum
 from condmeasure.measure import sample_members
 from condmeasure.sigma import SetRing, mix_closure
 from condmeasure.verify import Draw, Size, inject_fault
@@ -76,6 +78,67 @@ class DriftsOnRepeat(StableMeasure):
         if self.seen[v] != 2:
             return out
         return Field(self.algebra, {a: out[a] + 1 if a in v.support else out[a] for a in self.algebra.atoms})
+
+
+class ShiftsTwoPointFibers(StableMeasure):
+    """Adds 1/7 at each atom whose fiber has two points.
+
+    The shift is local to each atom, so localization holds and only the
+    pair checks see it; its denominator divides no block-mass scale below.
+    """
+
+    shift = Fraction(1, 7)
+
+    def eval(self, v):
+        out = super().eval(v)
+        return Field(
+            self.algebra,
+            {a: ext_add(out[a], self.shift) if len(v.fibers.get(a, ())) == 2 else out[a] for a in self.algebra.atoms},
+        )
+
+
+class LowersTwoPointFibers(ShiftsTwoPointFibers):
+    shift = Fraction(-1, 7)
+
+
+def field_pair_checks(mu, members):
+    """The pair checks of `check_measure_axioms` on `Field` arithmetic.
+
+    One evaluation per distinct set; returns the first failing axiom and
+    its witness, or None.
+    """
+    seen = {}
+
+    def value(v):
+        if v not in seen:
+            seen[v] = mu.eval(v) if mu.domain.contains(v) else None
+        return seen[v]
+
+    for k, v in enumerate(members):
+        for w in members[k:]:
+            meet = cond_intersection([v, w])
+            union, both = value(cond_union([v, w])), value(meet)
+            if union is None or both is None:
+                continue
+            total = value(v) + value(w)
+            if meet.is_bottom and union != total:
+                return "additivity", f"{v!r} and {w!r}"
+            if union + both != total:
+                return "modularity", f"{v!r} and {w!r}"
+            if not union.le(total):
+                return "subadditivity", f"{v!r} and {w!r}"
+            for lo, hi in ((v, w), (w, v)):
+                if not cond_le(lo, hi):
+                    continue
+                if not value(lo).le(value(hi)):
+                    return "monotonicity", f"{lo!r} inside {hi!r}"
+                diff = value(cond_difference(hi, lo))
+                if diff is None:
+                    continue
+                for a in mu.algebra.atoms:
+                    if value(lo)[a] is not INF and diff[a] != ext_sub(value(hi)[a], value(lo)[a]):
+                        return "subtraction", f"{hi!r} minus {lo!r} at atom {a}"
+    return None
 
 
 @pytest.fixture
@@ -182,6 +245,72 @@ class TestStableMeasure:
             "Clamped": ("additivity", "ConditionalSet(a2:{1}) and ConditionalSet(a2:{3})"),
             "DriftsOnRepeat": ("localization", "ConditionalSet(a2:{1}) restricted to ['a2']"),
         }
+
+    def test_axioms_hold_for_mixed_denominators(self, trio):
+        sig = StableSigmaAlgebra.discrete(trio)
+        mu = StableMeasure.from_point_masses(
+            sig,
+            {
+                "a1": {1: Fraction(1, 3), 2: Fraction(1, 4), 3: INF},
+                "a2": {1: Fraction(1, 10), 2: INF, 3: Fraction(1, 3)},
+            },
+        )
+        report = check_measure_axioms(mu, cap=80)
+        assert report.ok, (report.axiom, report.witness)
+        # a genuine measure whose values leave the lattice of mu's block
+        # masses (sevenths) is compared exactly and passes too
+        sevenths = StableMeasure.from_point_masses(
+            sig, {a: {1: Fraction(1, 7), 2: Fraction(2, 7), 3: 0} for a in ("a1", "a2")}
+        )
+
+        class PlusSevenths(StableMeasure):
+            def eval(self, v):
+                return super().eval(v) + sevenths.eval(v)
+
+        report = check_measure_axioms(PlusSevenths(sig, mu.block_mass), cap=80)
+        assert report.ok, (report.axiom, report.witness)
+
+    def test_axiom_checker_catches_values_off_the_lattice(self, trio):
+        one, rest = frozenset({1}), frozenset({2, 3})
+        sig = StableSigmaAlgebra.from_blocks(trio, {"a1": [one, rest], "a2": [one, rest]})
+        masses = {"a1": {one: Fraction(1, 3), rest: Fraction(1, 4)}, "a2": {one: INF, rest: Fraction(1, 10)}}
+        assert check_measure_axioms(StableMeasure(sig, masses), cap=16).ok
+        got = {}
+        for broken, cap in ((ShiftsTwoPointFibers, 12), (ShiftsTwoPointFibers, 16), (LowersTwoPointFibers, 16)):
+            report = check_measure_axioms(broken(sig, masses), cap=cap)
+            got[broken.__name__, cap] = (report.axiom, report.witness)
+        # the reports that the same checks on `Field` arithmetic give
+        assert got == {
+            ("ShiftsTwoPointFibers", 12): (
+                "subtraction",
+                "ConditionalSet(a1:{1,2,3}) minus ConditionalSet(a1:{1}) at atom a1",
+            ),
+            ("ShiftsTwoPointFibers", 16): ("additivity", "ConditionalSet(a1:{1}) and ConditionalSet(a1:{2,3})"),
+            ("LowersTwoPointFibers", 16): ("monotonicity", "ConditionalSet(bottom) inside ConditionalSet(a2:{2,3})"),
+        }
+
+    def test_axiom_checker_matches_field_arithmetic(self):
+        seen = set()
+        for seed in range(40):
+            rng = random.Random(seed)
+            draw = Draw(rng)
+            sig = draw.sigma_algebra(draw.cspace(Size(rng.randint(1, 3), rng.randint(1, 4))))
+            mu = draw.measure_on(sig, allow_inf=seed % 2 == 1)
+            members = sample_members(sig, 32)
+            for kind in ("genuine", "measure-eval-max", "off-lattice"):
+                checked = ShiftsTwoPointFibers(sig, mu.block_mass) if kind == "off-lattice" else mu
+                with inject_fault("measure-eval-max" if kind == "measure-eval-max" else None):
+                    report = check_measure_axioms(checked, cap=32)
+                    want = field_pair_checks(checked, members)
+                if want is None:
+                    # the pair checks pass; only the continuity chains remain
+                    assert report.ok or report.axiom.startswith("continuity"), (seed, kind, report)
+                else:
+                    assert (report.axiom, report.witness) == want, (seed, kind)
+                seen.add((kind, want and want[0]))
+        assert {("genuine", None), ("measure-eval-max", None), ("measure-eval-max", "additivity"),
+                ("measure-eval-max", "subtraction"), ("off-lattice", "additivity"),
+                ("off-lattice", "subtraction")} <= seen, seen
 
     def test_sample_members_is_deterministic(self, trio):
         sig = StableSigmaAlgebra.discrete(trio)
