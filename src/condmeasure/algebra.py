@@ -16,7 +16,7 @@ values as a tuple already in atom order.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 class _Infinity:
@@ -189,26 +189,14 @@ class MeasureAlgebra:
     def prob(self, event: Event) -> Fraction:
         return sum((self.weights[a] for a in self.event(event)), Fraction(0))
 
-    def largest_event(self, pred: Callable[[Event], bool], *, verify: bool = False) -> Event:
+    def largest_event(self, pred: Callable[[Event], bool]) -> Event:
         """Largest event satisfying an atom-local, union-closed predicate.
 
         In a finite atomic algebra the supremum of all satisfying events
-        is the union of the satisfying singletons.  With verify=True the
-        contract is checked by full enumeration of the 2^n events.
+        is the union of the satisfying singletons.  The verification
+        suites check that contract against all 2^n events.
         """
-        result = frozenset(a for a in self.atoms if pred(frozenset((a,))))
-        if verify:
-            if not pred(result) and result:
-                raise ValueError("largest_event: union of satisfying atoms fails the predicate")
-            for ev in self.all_events():
-                if pred(ev) and not ev <= result:
-                    raise ValueError(f"largest_event: satisfying event {sorted(ev)} escapes the result")
-        return result
-
-    def all_events(self) -> Iterator[Event]:
-        n = len(self.atoms)
-        for mask in range(1 << n):
-            yield frozenset(a for i, a in enumerate(self.atoms) if mask >> i & 1)
+        return frozenset(a for a in self.atoms if pred(frozenset((a,))))
 
     def is_partition(self, events: Sequence[Event]) -> bool:
         seen: set[str] = set()

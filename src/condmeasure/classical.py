@@ -1,10 +1,11 @@
 """Classical finite measure theory on one fiber.
 
 Everything here speaks the ordinary language: subsets of a finite point
-set, set rings and set fields, outer measures, Hahn decompositions and
-plain weighted sums.  The conditional machinery is checked atom by atom
-against these routines, so this module intentionally avoids importing
-any of it; the only shared vocabulary is the extended value type.
+set, set rings and set fields, outer measures, Hahn decompositions,
+distribution functions and plain weighted sums.  The conditional
+machinery is checked atom by atom against these routines, so this
+module intentionally avoids importing any of it; the only shared
+vocabulary is the extended value type.
 """
 
 from __future__ import annotations
@@ -29,6 +30,38 @@ def blocks_from_sets(universe: frozenset, sets: Iterable[frozenset]) -> frozense
         sig = tuple(p in s for s in gens)
         by_sig.setdefault(sig, set()).add(p)
     return frozenset(frozenset(b) for b in by_sig.values())
+
+
+def distribution_jumps(coords: Mapping, point_mass: Mapping) -> dict:
+    """Point masses read back as the jumps of the distribution function.
+
+    The cumulative mass is evaluated at rational grid points, the value
+    at each coordinate is the one-sided infimum over larger grid points,
+    and each point's mass is the jump there.  Returned in coordinate
+    order.
+    """
+    by_coord = sorted(coords, key=coords.__getitem__)
+    coords_sorted = [coords[p] for p in by_coord]
+    # two interior points between neighbours, so every one-sided
+    # infimum is realized on the grid itself
+    grid = [coords_sorted[0] - 1, coords_sorted[0] - Fraction(1, 2)]
+    for lo, hi in zip(coords_sorted, coords_sorted[1:]):
+        gap = hi - lo
+        grid.extend([lo, lo + gap / 2, lo + 3 * gap / 4])
+    grid.extend([coords_sorted[-1], coords_sorted[-1] + 1])
+
+    def cumulative(q: Fraction) -> Fraction:
+        return sum((point_mass[p] for p in coords if coords[p] <= q), Fraction(0))
+
+    def cdf(x: Fraction) -> Fraction:
+        return min(cumulative(q) for q in grid if q > x)
+
+    jumps = {}
+    prev = coords_sorted[0] - 1
+    for p, c in zip(by_coord, coords_sorted):
+        jumps[p] = cdf(c) - cdf(prev)
+        prev = c
+    return jumps
 
 
 def outer_mass(ring_masses: Mapping[frozenset, ExtValue], target: frozenset) -> ExtValue:

@@ -81,9 +81,11 @@ expectation integrates a function against it.  Conditioning on the
 finest grouping gives the function back; on the coarsest, its overall
 mean.""",
     "kernels": """\
-A measure on coordinates can be read as a kernel: per atom, a classical
-distribution recovered from the jumps of its distribution function, and
-the translation is reversible.  A transition rule attaches a
+A probability on the points of a coordinate space can be read as a
+kernel: per atom, a classical distribution whose point masses are the
+measure's own masses at that atom, and the translation is reversible.
+The suites check that reading against the jumps of each atom's
+distribution function.  A transition rule attaches a
 probability row on the second space to every point of the first; its
 joint law with a source measure integrates row masses over sections.""",
     "products": """\

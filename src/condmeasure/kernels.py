@@ -3,7 +3,11 @@
 In the finite model a kernel is one classical measure on a shared
 ground field per atom, which is the same data as a stable measure read
 sideways; the two translation maps here make that identification
-explicit and exactly invertible.  Conditioning on a sub-algebra
+explicit and exactly invertible.  A stable probability on the discrete
+sigma-algebra of a coordinate space is read as a kernel atom by atom,
+with no distribution function in between; the classical route through
+the jumps of the distribution function (`classical.distribution_jumps`)
+is the oracle it is checked against.  Conditioning on a sub-algebra
 coarsens the atoms into blocks; conditional distributions then live
 over the quotient algebra and conditional expectations are integrals
 against them.
@@ -64,26 +68,13 @@ def kernel_to_measure(kappa: Kernel) -> StableMeasure:
     return kappa.measure
 
 
-def _cdf_grid(coords_sorted: Sequence[Fraction]) -> list[Fraction]:
-    """Rational thresholds straddling the coordinates densely enough.
-
-    Between consecutive coordinates the grid holds two interior points,
-    so every one-sided infimum is realized on the grid itself.
-    """
-    grid = [coords_sorted[0] - 1, coords_sorted[0] - Fraction(1, 2)]
-    for lo, hi in zip(coords_sorted, coords_sorted[1:]):
-        gap = hi - lo
-        grid.extend([lo, lo + gap / 2, lo + 3 * gap / 4])
-    grid.extend([coords_sorted[-1], coords_sorted[-1] + 1])
-    return grid
-
-
 def measure_to_kernel(mu: StableMeasure) -> Kernel:
     """Recover a kernel from a stable probability on the discrete sigma-algebra.
 
-    The cumulative distribution is evaluated at rational grid points,
-    the value at each coordinate is the one-sided infimum over larger
-    grid points, and the point masses are the jumps.
+    The kernel is the measure read per atom: on the discrete
+    sigma-algebra its point masses are the measure's block masses.  The
+    verification suites check them against the jumps of the classical
+    distribution function (`classical.distribution_jumps`).
     """
     domain = mu.domain
     if not isinstance(domain, StableSigmaAlgebra):
@@ -95,31 +86,8 @@ def measure_to_kernel(mu: StableMeasure) -> Kernel:
         raise ValueError("kernel recovery needs the discrete sigma-algebra")
     if not mu.is_probability():
         raise ValueError("kernel recovery needs a probability measure")
-    point_mass = {
-        a: {next(iter(b)): m for b, m in mu.block_mass[a].items()}
-        for a in domain.algebra.atoms
-    }
-    by_coord = sorted(space.points, key=lambda p: space.coords[p])
-    coords_sorted = [space.coords[p] for p in by_coord]
-    grid = _cdf_grid(coords_sorted)
-
-    def cumulative(a: str, q: Fraction) -> Fraction:
-        return sum((point_mass[a][p] for p in space.points if space.coords[p] <= q), Fraction(0))
-
-    def cdf(a: str, x: Fraction) -> Fraction:
-        return min(cumulative(a, q) for q in grid if q > x)
-
     blocks = [frozenset((p,)) for p in space.points]
-    table: dict[str, dict[frozenset, ExtValue]] = {}
-    for a in domain.algebra.atoms:
-        masses: dict[frozenset, ExtValue] = {}
-        prev = coords_sorted[0] - 1
-        for p, c in zip(by_coord, coords_sorted):
-            masses[frozenset((p,))] = cdf(a, c) - cdf(a, prev)
-            prev = c
-        table[a] = masses
-    cspace = CondSpace(domain.algebra, space)
-    return Kernel(cspace, SetRing(blocks), table)
+    return Kernel(domain.cspace, SetRing(blocks), mu.block_mass)
 
 
 class SubAlgebra:

@@ -228,8 +228,22 @@ def _case_lattice(draw: Draw, size: Size) -> None:
 
     # largest_event with full contract verification on an atom-local predicate
     target = draw.event(cspace.algebra)
-    got_ev = cspace.algebra.largest_event(lambda ev: ev <= target, verify=True)
+    got_ev = checked_largest_event(cspace.algebra, lambda ev: ev <= target)
     assert got_ev == target, f"largest_event: {sorted(target)}"
+
+
+def checked_largest_event(algebra: MeasureAlgebra, pred: Callable[[frozenset], bool]) -> frozenset:
+    """`algebra.largest_event(pred)`, with its contract checked on all 2^n
+    events: the result satisfies the predicate unless it is empty, and
+    every satisfying event lies inside it.  Raises ValueError otherwise."""
+    result = algebra.largest_event(pred)
+    if result and not pred(result):
+        raise ValueError("largest_event: union of satisfying atoms fails the predicate")
+    for mask in range(1 << len(algebra.atoms)):
+        ev = frozenset(a for i, a in enumerate(algebra.atoms) if mask >> i & 1)
+        if pred(ev) and not ev <= result:
+            raise ValueError(f"largest_event: satisfying event {sorted(ev)} escapes the result")
+    return result
 
 
 def exhaustive_complement_check(cspace: CondSpace) -> int:
@@ -476,8 +490,14 @@ def _case_integral(draw: Draw, size: Size) -> None:
 def _case_kernel(draw: Draw, size: Size) -> None:
     cspace = draw.cspace(size, coords=True)
     sig = StableSigmaAlgebra.discrete(cspace)
-    mu = StableMeasure.from_point_masses(sig, draw.point_masses(cspace, probability=True))
+    pm = draw.point_masses(cspace, probability=True)
+    mu = StableMeasure.from_point_masses(sig, pm)
     kappa = kernels.measure_to_kernel(mu)
+    # classical oracle: the jumps of each atom's distribution function
+    for a in cspace.algebra.atoms:
+        for p, jump in classical.distribution_jumps(cspace.space.coords, pm[a]).items():
+            got = kappa.mass(a, frozenset((p,)))
+            assert got == jump, f"kernel at {a}, point {p}: {format_value(got)} != distribution jump {format_value(jump)}"
     back = kernels.kernel_to_measure(kappa)
     assert back.block_mass == mu.block_mass, "measure -> kernel -> measure is not the identity"
     again = kernels.measure_to_kernel(back)
@@ -721,15 +741,16 @@ def _failure(case: Callable[[Draw, Size], None], rng: random.Random, size: Size)
     return None
 
 
-def _shrink(case: Callable[[Draw, Size], None], seed: int, index: int, cap: Size, message: str) -> str:
-    """Re-run a failing case at smaller sizes; report the smallest witness."""
-    for size in SHRINK_LADDER:
-        if size.atoms > cap.atoms or size.points > cap.points:
+def _shrink(case: Callable[[Draw, Size], None], seed: int, index: int, cap: Size, size: Size, message: str) -> str:
+    """Re-run a failing case at smaller sizes; report the smallest witness,
+    or the failing ``size`` when no smaller size fails."""
+    for small in SHRINK_LADDER:
+        if small.atoms > cap.atoms or small.points > cap.points:
             continue
-        found = _failure(case, random.Random(seed * 1000003 + index), size)
+        found = _failure(case, random.Random(seed * 1000003 + index), small)
         if found is not None:
-            return f"(shrunk to {size.atoms} atoms, {size.points} points) {found}"
-    return message
+            return f"(shrunk to {small.atoms} atoms, {small.points} points) {found}"
+    return f"(not shrunk: {size.atoms} atoms, {size.points} points) {message}"
 
 
 def run_suite(name: str, seed: int, cases: int) -> SuiteResult:
@@ -737,9 +758,10 @@ def run_suite(name: str, seed: int, cases: int) -> SuiteResult:
     failures: list[str] = []
     for i in range(cases):
         rng = random.Random(seed * 1000003 + i)
-        message = _failure(case, rng, _case_size(rng, cap))
+        size = _case_size(rng, cap)
+        message = _failure(case, rng, size)
         if message is not None:
-            failures.append(f"case {i}: {_shrink(case, seed, i, cap, message)}")
+            failures.append(f"case {i}: {_shrink(case, seed, i, cap, size, message)}")
         if len(failures) >= 3:
             break
     return SuiteResult(name, cases, failures)
@@ -880,6 +902,22 @@ def _broken_cond_dist(sub, xi, space):
     return StableMeasure(out.domain, table)
 
 
+_original_measure_to_kernel = kernels.measure_to_kernel
+
+
+def _broken_measure_to_kernel(mu: StableMeasure) -> kernels.Kernel:
+    # reads the distribution function from the left: each point takes its
+    # left neighbour's mass in coordinate order, the lowest point gets 0
+    kappa = _original_measure_to_kernel(mu)
+    coords = mu.domain.space.coords
+    by_coord = sorted(coords, key=coords.__getitem__)
+    table = {}
+    for a, row in kappa.block_mass.items():
+        shifted = [Fraction(0)] + [row[frozenset((q,))] for q in by_coord[:-1]]
+        table[a] = {frozenset((p,)): m for p, m in zip(by_coord, shifted)}
+    return kernels.Kernel(kappa.measure.domain.cspace, kappa.field, table)
+
+
 FAULTS: dict[str, tuple[str, Callable, str]] = {
     "complement-support": (
         "complement forgets the region outside the support",
@@ -914,6 +952,11 @@ FAULTS: dict[str, tuple[str, Callable, str]] = {
     "cond-expect-unnormalized": (
         "conditional distribution skips the renormalization by block weight",
         _Swap(kernels, "conditional_distribution", _broken_cond_dist),
+        "kernel",
+    ),
+    "kernel-left-continuous": (
+        "kernel recovery reads the distribution function from the left",
+        _Swap(kernels, "measure_to_kernel", _broken_measure_to_kernel),
         "kernel",
     ),
     "integrand-scale-first-atom": (

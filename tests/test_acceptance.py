@@ -26,7 +26,7 @@ from condmeasure import (
 )
 from condmeasure import cli
 from condmeasure.scenario import load_scenario, render_text, run_scenario
-from condmeasure.verify import Draw, Size, exhaustive_complement_check, run_suite
+from condmeasure.verify import FAULTS, Draw, Size, exhaustive_complement_check, run_suite
 
 SCENARIO_DIR = Path(__file__).parent.parent / "src" / "condmeasure" / "scenarios"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -127,8 +127,12 @@ def test_criterion_7_cli_reports_and_fault_detection(capsys):
         assert render_text(report) == (GOLDEN_DIR / f"{name}.txt").read_text(), f"report drift: {name}"
 
     assert cli.main(["verify", "--seed", "42", "--cases", "100"]) == 0
-    for fault in ("complement-support", "intersection-empty-fiber", "outer-ignores-uncovered", "dyadic-ceil", "cond-expect-unnormalized"):
-        code = cli.main(["verify", "--seed", "42", "--cases", "100", "--fault", fault])
-        assert code == 3, f"fault {fault} was not detected"
     capsys.readouterr()
-    print("criterion 7: PASS (5 golden reports byte-identical; clean verify exits 0, every fault exits 3)")
+    # suites are seeded independently, so the paired suite failing alone
+    # is what it does inside a run of all suites
+    for fault, (_, _, paired) in FAULTS.items():
+        code = cli.main(["verify", "--seed", "42", "--cases", "100", "--suite", paired, "--fault", fault])
+        out = capsys.readouterr().out
+        assert code == 3, f"fault {fault} was not detected"
+        assert f"suite {paired}: FAILED" in out, f"fault {fault} was not caught by suite {paired}"
+    print(f"criterion 7: PASS (5 golden reports byte-identical; clean verify exits 0, every fault exits 3: {len(FAULTS)} faults)")

@@ -4,6 +4,7 @@ import pytest
 
 from condmeasure import INF, Field, MeasureAlgebra, format_value, parse_value
 from condmeasure.algebra import ext_add, ext_mul, ext_sub, ext_sum, field_inf, field_sup, is_finite
+from condmeasure.verify import checked_largest_event
 
 
 class TestExtendedValues:
@@ -76,12 +77,12 @@ class TestMeasureAlgebra:
     def test_largest_event_is_union_of_singletons(self):
         alg = MeasureAlgebra.uniform(["a1", "a2", "a3"])
         target = frozenset({"a1", "a3"})
-        assert alg.largest_event(lambda ev: ev <= target, verify=True) == target
+        assert checked_largest_event(alg, lambda ev: ev <= target) == target
 
     def test_largest_event_verify_rejects_non_local_predicate(self):
         alg = MeasureAlgebra.uniform(["a1", "a2"])
-        with pytest.raises(ValueError):
-            alg.largest_event(lambda ev: len(ev) == 2, verify=True)
+        with pytest.raises(ValueError, match="escapes the result"):
+            checked_largest_event(alg, lambda ev: len(ev) == 2)
 
     def test_concatenate_field(self):
         alg = MeasureAlgebra.uniform(["a1", "a2", "a3"])

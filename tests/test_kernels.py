@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from condmeasure import classical
 from condmeasure import (
     CondSpace,
     Field,
@@ -12,6 +13,7 @@ from condmeasure import (
     MeasureAlgebra,
     SetRing,
     StableMeasure,
+    StableRing,
     StableSigmaAlgebra,
     SubAlgebra,
     conditional_distribution,
@@ -65,6 +67,37 @@ class TestKernelTranslation:
         )
         with pytest.raises(ValueError, match="probability"):
             measure_to_kernel(heavy)
+
+    def test_recovery_needs_a_discrete_sigma_algebra(self, coords_setting):
+        cspace, _, _ = coords_setting
+        trivial = StableSigmaAlgebra.trivial(cspace)
+        with pytest.raises(ValueError, match="discrete"):
+            measure_to_kernel(StableMeasure.dirac(trivial, {"a1": 0, "a2": 1}))
+        ring = StableRing.from_fiber_sets(cspace, {a: [frozenset({0})] for a in cspace.algebra.atoms})
+        with pytest.raises(ValueError, match="on a sigma-algebra"):
+            measure_to_kernel(StableMeasure(ring, {a: {frozenset({0}): Fraction(1)} for a in cspace.algebra.atoms}))
+
+    def test_distribution_jumps_by_hand(self):
+        # coordinates out of point order, a gap of 9 between 1 and 10,
+        # and a point without mass: F jumps by 1/4 at -1, by 0 at 1 and
+        # by 3/4 at 10
+        coords = {"p": Fraction(10), "q": Fraction(-1), "r": Fraction(1)}
+        jumps = classical.distribution_jumps(coords, {"p": Fraction(3, 4), "q": Fraction(1, 4), "r": Fraction(0)})
+        assert list(jumps.items()) == [("q", Fraction(1, 4)), ("r", Fraction(0)), ("p", Fraction(3, 4))]
+
+    def test_many_points_read_the_measure(self, coin_algebra):
+        # 200 points on 2 atoms: the kernel's point masses are the block masses
+        points = tuple(range(200))
+        space = GroundSpace(points, {p: Fraction(3 * p - 250, 7) for p in points})
+        sigma = StableSigmaAlgebra.discrete(CondSpace(coin_algebra, space))
+        total = sum(points)
+        mu = StableMeasure.from_point_masses(
+            sigma,
+            {"a1": {p: Fraction(1, 200) for p in points}, "a2": {p: Fraction(p, total) for p in points}},
+        )
+        kappa = measure_to_kernel(mu)
+        assert kappa.block_mass == mu.block_mass
+        assert kappa.field == SetRing([frozenset((p,)) for p in points])
 
 
 class TestKernel:
