@@ -6,12 +6,16 @@ distribution functions and plain weighted sums.  The conditional
 machinery is checked atom by atom against these routines, so this
 module intentionally avoids importing any of it; the only shared
 vocabulary is the extended value type.
+
+A ring is given by its block masses.  The blocks partition the covered
+points, so outer mass and the Carathéodory extension are read off them
+in closed form; the cover search they check lives in
+`measure.OuterMeasure.evaluate` only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import INF, ExtValue, ext_mul, ext_sub, ext_sum
@@ -64,41 +68,23 @@ def distribution_jumps(coords: Mapping, point_mass: Mapping) -> dict:
     return jumps
 
 
-def outer_mass(ring_masses: Mapping[frozenset, ExtValue], target: frozenset) -> ExtValue:
-    """Infimum over finite ring covers of the target, or INF when no cover exists.
+def outer_mass(block_masses: Mapping[frozenset, ExtValue], target: frozenset) -> ExtValue:
+    """Outer mass of the target under a pre-measure given by its ring blocks.
 
-    Any cover has an irredundant subcover of at most |target| members,
-    so enumerating small combinations is exact.
+    The blocks partition the covered points, so the cheapest ring cover
+    of the target is the union of the blocks it meets: the value is
+    their extended mass sum, or INF when a point of the target lies in
+    no block.
     """
-    if not target:
-        return Fraction(0)
-    members = [m for m in ring_masses if m]
-    best: ExtValue | None = None
-    for k in range(1, len(target) + 1):
-        for combo in combinations(members, k):
-            if target <= frozenset().union(*combo):
-                total = ext_sum(ring_masses[m] for m in combo)
-                if best is None or total < best:
-                    best = total
-    return INF if best is None else best
+    if not target <= frozenset().union(*block_masses):
+        return INF
+    return ext_sum(m for b, m in block_masses.items() if b & target)
 
 
-def caratheodory_blocks(universe: frozenset, ring_masses: Mapping[frozenset, ExtValue]) -> dict[frozenset, ExtValue]:
+def caratheodory_blocks(universe: frozenset, block_masses: Mapping[frozenset, ExtValue]) -> dict[frozenset, ExtValue]:
     """Extension to the generated field, by outer mass on each block."""
-    blocks = blocks_from_sets(universe, list(ring_masses))
-    return {b: outer_mass(ring_masses, b) for b in blocks}
-
-
-def caratheodory_from_blocks(universe: frozenset, block_masses: Mapping[frozenset, ExtValue]) -> dict[frozenset, ExtValue]:
-    """`caratheodory_blocks` of the ring whose blocks carry ``block_masses``:
-    every nonempty union of blocks is a member, with the summed mass."""
-    blocks = list(block_masses)
-    ring_masses = {
-        frozenset().union(*combo): ext_sum(block_masses[b] for b in combo)
-        for k in range(1, len(blocks) + 1)
-        for combo in combinations(blocks, k)
-    }
-    return caratheodory_blocks(universe, ring_masses)
+    blocks = blocks_from_sets(universe, list(block_masses))
+    return {b: outer_mass(block_masses, b) for b in blocks}
 
 
 def hahn_positive(blocks: Iterable[frozenset], signed_masses: Mapping[frozenset, Fraction]) -> frozenset:

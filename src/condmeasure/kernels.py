@@ -18,10 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import ExtValue, Field, MeasureAlgebra, ext_sum
+from .algebra import ExtValue, Field, MeasureAlgebra
 from .condsets import CondSpace, GroundSpace, PointFun
 from .integral import Integrand, integrate
-from .measure import StableMeasure
+from .measure import StableMeasure, _mass_inside
 from .sigma import SetRing, StableSigmaAlgebra
 
 
@@ -46,9 +46,10 @@ class Kernel:
         return self.measure.block_mass
 
     def mass(self, atom: str, subset: frozenset) -> ExtValue:
-        if not self.field.contains(frozenset(subset)):
+        subset = frozenset(subset)
+        if not self.field.contains(subset):
             raise ValueError(f"not measurable: {sorted(map(str, subset))}")
-        return ext_sum(m for b, m in self.block_mass[atom].items() if b <= subset)
+        return _mass_inside(self.block_mass[atom], subset)
 
     def is_probability(self) -> bool:
         return self.measure.is_probability()

@@ -6,7 +6,10 @@ then hold by construction; the behavioral checker still verifies the
 whole axiom list on any measure-shaped object, so deliberately broken
 evaluators can be caught.  Pre-measures live on stable rings; their
 outer measures are computed by exact enumeration of finite ring covers
-and extend to the generated sigma-algebra.
+and extend to the generated sigma-algebra.  That cover search is the
+only one in the package: the oracle it is checked against,
+`classical.outer_mass`, reads the value off the block masses in closed
+form.
 
 `StableMeasure(domain, block_mass)` validates its masses against the
 domain's blocks.  `StableMeasure.eval` checks that the domain can
@@ -347,12 +350,10 @@ class OuterMeasure:
         self.premeasure = premeasure
         self._member_masses = {}
         for a in premeasure.algebra.atoms:
-            ring = premeasure.domain.ring_at(a)
-            table = {}
-            for m in ring.members():
-                if m:
-                    table[m] = ext_sum(premeasure.block_mass[a][b] for b in ring.blocks if b <= m)
-            self._member_masses[a] = table
+            masses = premeasure.block_mass[a]
+            self._member_masses[a] = {
+                m: _mass_inside(masses, m) for m in premeasure.domain.ring_at(a).members() if m
+            }
 
     @property
     def algebra(self):

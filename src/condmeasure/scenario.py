@@ -662,7 +662,7 @@ def _q_caratheodory(scn: Scenario, q: dict, where: str) -> QueryResult:
     agree = all(
         ext.eval(ConditionalSet((a,), {a: b}))[a] == mass
         for a in scn.algebra.atoms
-        for b, mass in classical.caratheodory_from_blocks(space.point_set, pre.block_mass[a]).items()
+        for b, mass in classical.caratheodory_blocks(space.point_set, pre.block_mass[a]).items()
     )
     lines, payload = _block_table(ext, space, str)
     lines.append(_oracle_line(agree))

@@ -355,6 +355,11 @@ def _case_outer(draw: Draw, size: Size) -> None:
         elif pre.is_finite():
             assert val[a] is not INF, f"coverability at {a}: {v!r}"
 
+    # the cover search against the closed form: the mass of the blocks met
+    for a in v.support:
+        want = classical.outer_mass(pre.block_mass[a], v.fibers[a])
+        assert val[a] == want, f"outer mass at {a} of {v!r}: {format_value(val[a])} != {format_value(want)}"
+
 
 def _splits_additively(outer: OuterMeasure, v: ConditionalSet, tests: Sequence[ConditionalSet]) -> bool:
     """Carathéodory's definition: v cuts every test set additively."""
@@ -386,7 +391,7 @@ def _case_caratheodory(draw: Draw, size: Size) -> None:
         assert ext.eval(v) == pre.eval(v), f"extension disagrees on ring member {v!r}"
     # extension blocks match the classical fiberwise extension
     for a in cspace.algebra.atoms:
-        for b, mass in classical.caratheodory_from_blocks(cspace.space.point_set, pre.block_mass[a]).items():
+        for b, mass in classical.caratheodory_blocks(cspace.space.point_set, pre.block_mass[a]).items():
             got = ext.eval(ConditionalSet((a,), {a: b}))[a]
             assert got == mass, f"extension block {sorted(b)} at {a}: {format_value(got)} != {format_value(mass)}"
 
@@ -403,6 +408,12 @@ def _case_uniqueness(draw: Draw, size: Size) -> None:
             break
         fam |= fresh
     gen = sorted(fam, key=repr)
+    # meet-closure decided from the fibers, not by the meet that built the family
+    for v in gen:
+        for w in gen:
+            common = {a: v.fibers[a] & w.fibers[a] for a in v.support & w.support}
+            meet = ConditionalSet._of({a: f for a, f in common.items() if f})
+            assert meet in fam, f"generator not closed under meets: {v!r} and {w!r}"
     sig = generate_sigma(cspace, gen)
     mu = draw.measure_on(sig, probability=draw.rng.random() < 0.5)
     assert uniqueness_check(mu, mu, gen), "a measure must agree with itself"
@@ -743,11 +754,17 @@ def _failure(case: Callable[[Draw, Size], None], rng: random.Random, size: Size)
 
 def _shrink(case: Callable[[Draw, Size], None], seed: int, index: int, cap: Size, size: Size, message: str) -> str:
     """Re-run a failing case at smaller sizes; report the smallest witness,
-    or the failing ``size`` when no smaller size fails."""
+    or the failing ``size`` when no smaller size fails.
+
+    Each re-run replays the case's own draws: its seed, with the two size
+    draws of `run_suite` spent first, so at the failing size it is the
+    failing case."""
     for small in SHRINK_LADDER:
         if small.atoms > cap.atoms or small.points > cap.points:
             continue
-        found = _failure(case, random.Random(seed * 1000003 + index), small)
+        rng = random.Random(seed * 1000003 + index)
+        _case_size(rng, cap)
+        found = _failure(case, rng, small)
         if found is not None:
             return f"(shrunk to {small.atoms} atoms, {small.points} points) {found}"
     return f"(not shrunk: {size.atoms} atoms, {size.points} points) {message}"

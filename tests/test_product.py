@@ -258,6 +258,26 @@ class TestRadonNikodym:
         with pytest.raises(ValueError, match="not absolutely continuous"):
             radon_nikodym(mu, nu)
 
+    def test_certificate_above_the_member_cap(self):
+        # 2 atoms with 8 points each: 256**2 = 65,536 members, so the
+        # density is certified per atom on ring members, not by enumeration
+        algebra = MeasureAlgebra.uniform(["a1", "a2"])
+        sigma = StableSigmaAlgebra.discrete(CondSpace(algebra, GroundSpace(tuple(range(1, 9)))))
+        assert sigma.member_count() == 65536
+        mu = StableMeasure.from_point_masses(
+            sigma,
+            {"a1": {p: Fraction(p, 36) for p in range(1, 9)}, "a2": {p: Fraction(1, 7) if p < 8 else Fraction(0) for p in range(1, 9)}},
+        )
+        nu_a2 = {p: Fraction(p, 3) if p < 8 else Fraction(0) for p in range(1, 9)}
+        nu = StableMeasure.from_point_masses(sigma, {"a1": {p: Fraction(1, 2) for p in range(1, 9)}, "a2": nu_a2})
+        density = radon_nikodym(mu, nu)
+        assert density.values["a1"] == {p: Fraction(18, p) for p in range(1, 9)}
+        assert density.values["a2"] == {p: Fraction(7 * p, 3) if p < 8 else Fraction(0) for p in range(1, 9)}
+        # mass on the mu-null point 8 at a2 is named as the witness
+        not_ac = StableMeasure.from_point_masses(sigma, {"a1": {p: Fraction(1) for p in range(1, 9)}, "a2": {**nu_a2, 8: Fraction(1)}})
+        with pytest.raises(ValueError, match=r"not absolutely continuous: witness ConditionalSet\(a2:\{8\}\)"):
+            radon_nikodym(mu, not_ac)
+
     def test_improvement_step_climbs(self, pair_setting):
         sigma, mu, nu = pair_setting
         zero = Integrand.constant(sigma, Fraction(0))

@@ -98,6 +98,21 @@ class TestFaults:
             assert (r * f).values["a2"][1] == 2
             assert (f * r).values["a2"][1] == 2
 
+    def test_shrink_replays_the_failing_case(self):
+        # at seed 42 these three cases fail at sizes off the shrink ladder or
+        # only through their own draws; replaying those draws shrinks them
+        with inject_fault("measure-eval-max"):
+            broken = run_suite("outer", seed=42, cases=100)
+        assert [m.partition(":")[0] for m in broken.failures] == ["case 42", "case 47", "case 72"]
+        assert all(m.split(": ", 1)[1].startswith("(shrunk to ") for m in broken.failures), broken.failures
+
+    def test_uniqueness_decides_meet_closure_from_the_fibers(self):
+        # the broken meet builds the generator, so it cannot also judge it
+        with inject_fault("intersection-empty-fiber"):
+            broken = run_suite("uniqueness", seed=42, cases=100)
+        assert [m.partition(":")[0] for m in broken.failures] == ["case 38", "case 73", "case 74"]
+        assert all("generator not closed under meets" in m for m in broken.failures), broken.failures
+
     def test_failures_carry_witnesses(self):
         with inject_fault("complement-support"):
             broken = run_suite("lattice", seed=0, cases=12)
