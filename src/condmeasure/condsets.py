@@ -15,6 +15,11 @@ operations (`cond_union`, `cond_intersection`, `cond_difference`,
 through the trusted `ConditionalSet._of`, because those results are
 well-formed by construction: they drop every atom whose fiber comes out
 empty, and they keep only frozensets.
+
+`MaskCodec` encodes the sets of one space as tuples of per-atom point
+bitmasks, for the member-level loops that apply the lattice operations
+to many pairs: there each operation is one integer operation per atom,
+and a `ConditionalSet` is built only where a loop needs one.
 """
 
 from __future__ import annotations
@@ -178,6 +183,55 @@ def cond_difference(w: ConditionalSet, v: ConditionalSet) -> ConditionalSet:
         if rest:
             fibers[a] = rest
     return ConditionalSet._of(fibers)
+
+
+class MaskCodec:
+    """The conditional sets of one space as tuples of per-atom point bitmasks.
+
+    Point ``i`` of the ground space is bit ``i``.  A set becomes one mask
+    per atom of the algebra, in atom order, with ``0`` off its support,
+    so every lattice operation is one integer operation per atom: union
+    ``x | y``, meet ``x & y``, relative complement ``x & ~y`` and
+    complement ``full ^ x``; a set is bottom when all its masks are 0.
+    Decoding builds the set through the trusted `ConditionalSet._of`,
+    with one shared fiber per mask.
+    """
+
+    __slots__ = ("atoms", "full", "top", "_atom_set", "_bits", "_fibers")
+
+    def __init__(self, cspace: "CondSpace"):
+        self.atoms = cspace.algebra.atoms
+        points = cspace.space.points
+        self.full = (1 << len(points)) - 1
+        self.top = (self.full,) * len(self.atoms)
+        self._atom_set = frozenset(self.atoms)
+        self._bits = {p: 1 << i for i, p in enumerate(points)}
+        self._fibers: dict[int, frozenset] = {}
+
+    def encode(self, v: ConditionalSet) -> tuple[int, ...]:
+        """The masks of ``v``; raises ValueError when it leaves the space."""
+        fibers = v.fibers
+        if not v.support <= self._atom_set:
+            raise ValueError(f"{v!r} is supported off the algebra's atoms")
+        return tuple(self._mask(fibers[a]) if a in fibers else 0 for a in self.atoms)
+
+    def decode(self, masks: tuple[int, ...]) -> ConditionalSet:
+        return ConditionalSet._of({a: self._fiber(m) for a, m in zip(self.atoms, masks) if m})
+
+    def _mask(self, fiber: frozenset) -> int:
+        try:
+            m = sum(self._bits[p] for p in fiber)
+        except KeyError:
+            raise ValueError(f"fiber {sorted(map(str, fiber))} uses points outside the ground space") from None
+        self._fibers.setdefault(m, fiber)
+        return m
+
+    def _fiber(self, m: int) -> frozenset:
+        try:
+            return self._fibers[m]
+        except KeyError:
+            fiber = self._fibers[m] = frozenset(p for p, bit in self._bits.items() if m & bit)
+            return fiber
 
 
 def _mixes(atoms: Sequence[str], options: Sequence[Sequence[frozenset | None]]) -> Iterator[ConditionalSet]:

@@ -16,13 +16,16 @@ domain's blocks.  `StableMeasure.eval` checks that the domain can
 measure its argument, then sums each atom's block masses on integers
 and builds its `Field` through the trusted `Field._of`.
 
-`check_measure_axioms` turns each value of its pair loop into scaled
-numerators: per atom, the value times the least common multiple of the
-denominators of that atom's finite block masses.  Every sum of block
-masses is then an `int`, and a sum, difference or comparison of scaled
-values holds exactly when it holds for the values themselves, because
-the scale is positive; a value off that lattice stays an exact
-`Fraction`, and `INF` stays `INF`.
+`check_measure_axioms` runs its pair loop on per-atom point bitmasks
+(`condsets.MaskCodec`): the union, meet and difference of a pair are
+integer operations, and its value table is keyed by mask tuples, so a
+`ConditionalSet` is built only for a set the table has not seen.  Each
+value turns into scaled numerators: per atom, the value times the least
+common multiple of the denominators of that atom's finite block masses.
+Every sum of block masses is then an `int`, and a sum, difference or
+comparison of scaled values holds exactly when it holds for the values
+themselves, because the scale is positive; a value off that lattice
+stays an exact `Fraction`, and `INF` stays `INF`.
 """
 
 from __future__ import annotations
@@ -47,15 +50,7 @@ from .algebra import (
     format_value,
     is_finite,
 )
-from .condsets import (
-    BOTTOM,
-    ConditionalSet,
-    PointFun,
-    cond_difference,
-    cond_intersection,
-    cond_le,
-    cond_union,
-)
+from .condsets import BOTTOM, ConditionalSet, MaskCodec, PointFun, cond_intersection, cond_union
 from .sigma import StableRing, StableSigmaAlgebra, generate_sigma
 
 
@@ -234,9 +229,14 @@ def check_measure_axioms(mu, *, cap: int = 200) -> AxiomReport:
 
     The pair loop treats ``eval`` as a function of its argument: each
     distinct set (member, union, meet or difference) is evaluated once
-    and its value read from a table.  Localization and the limit checks
-    evaluate afresh, so an evaluator that answers differently for the
-    same set is still caught.
+    and its value read from a table.  The table is keyed by the set's
+    per-atom point masks, and the loop forms unions (``|``), meets
+    (``&``) and differences (``hi & ~lo``) on the masks; ``lo`` lies
+    inside ``hi`` when their meet is ``lo``, and a pair is disjoint when
+    its meet is all zeros.  Only a mask tuple the table lacks is decoded
+    into a `ConditionalSet`, tested for membership in the domain and
+    evaluated.  Localization and the limit checks evaluate afresh, so an
+    evaluator that answers differently for the same set is still caught.
 
     The pair loop compares scaled numerators, not `Field`s of
     `Fraction`s.  Each atom's scale is the least common multiple of the
@@ -248,17 +248,20 @@ def check_measure_axioms(mu, *, cap: int = 200) -> AxiomReport:
     """
     algebra = mu.domain.algebra
     members = sample_members(mu.domain, cap)
+    codec = MaskCodec(mu.domain.cspace)
     scale = tuple(
         math.lcm(*(m.denominator for m in mu.block_mass[a].values() if m is not INF)) for a in algebra.atoms
     )
-    table: dict[ConditionalSet, tuple | None] = {}
+    table: dict[tuple[int, ...], tuple | None] = {}
 
-    def value(v: ConditionalSet) -> tuple | None:
-        """The scaled mass of ``v``, or None when the domain cannot measure it."""
+    def value(masks: tuple[int, ...]) -> tuple | None:
+        """The scaled mass of the set ``masks`` encodes, or None when the
+        domain cannot measure it."""
         try:
-            return table[v]
+            return table[masks]
         except KeyError:
-            out = table[v] = _scaled(mu.eval(v), scale) if mu.domain.contains(v) else None
+            v = codec.decode(masks)
+            out = table[masks] = _scaled(mu.eval(v), scale) if mu.domain.contains(v) else None
             return out
 
     def fail(axiom: str, witness: str) -> AxiomReport:
@@ -266,35 +269,39 @@ def check_measure_axioms(mu, *, cap: int = 200) -> AxiomReport:
 
     events: list[Event] = [frozenset((a,)) for a in algebra.atoms]
     events.append(frozenset(algebra.atoms))
+    codes = []
     for v in members:
         mv = mu.eval(v)
-        table[v] = _scaled(mv, scale)
+        code = codec.encode(v)
+        codes.append(code)
+        table[code] = _scaled(mv, scale)
         for ev in events:
             if mu.eval(v.restrict(ev)) != mv.restrict(ev):
                 return fail("localization", f"{v!r} restricted to {sorted(ev)}")
         if any(mv[a] != 0 for a in algebra.atoms if a not in v.support):
             return fail("localization", f"{v!r} carries mass off its support")
 
-    for k, v in enumerate(members):
-        mv = table[v]
-        for w in members[k:]:
-            mw = table[w]
-            i = cond_intersection([v, w])
-            mu_u, mu_i = value(cond_union([v, w])), value(i)
+    and_, or_ = operator.and_, operator.or_
+    for k, (v, cv) in enumerate(zip(members, codes)):
+        mv = table[cv]
+        for w, cw in zip(members[k:], codes[k:]):
+            mw = table[cw]
+            meet = tuple(map(and_, cv, cw))
+            mu_u, mu_i = value(tuple(map(or_, cv, cw))), value(meet)
             if mu_u is None or mu_i is None:
                 continue
             total = tuple(map(ext_add, mv, mw))
-            if i.is_bottom and mu_u != total:
+            if not any(meet) and mu_u != total:
                 return fail("additivity", f"{v!r} and {w!r}")
             if tuple(map(ext_add, mu_u, mu_i)) != total:
                 return fail("modularity", f"{v!r} and {w!r}")
             if not all(map(operator.le, mu_u, total)):
                 return fail("subadditivity", f"{v!r} and {w!r}")
-            for lo, hi, mlo, mhi in ((v, w, mv, mw), (w, v, mw, mv)):
-                if cond_le(lo, hi):
+            for lo, hi, clo, chi, mlo, mhi in ((v, w, cv, cw, mv, mw), (w, v, cw, cv, mw, mv)):
+                if meet == clo:
                     if not all(map(operator.le, mlo, mhi)):
                         return fail("monotonicity", f"{lo!r} inside {hi!r}")
-                    mdiff = value(cond_difference(hi, lo))
+                    mdiff = value(tuple(x & ~y for x, y in zip(chi, clo)))
                     if mdiff is not None:
                         for a, d, x, y in zip(algebra.atoms, mdiff, mhi, mlo):
                             if y is not INF and d != ext_sub(x, y):

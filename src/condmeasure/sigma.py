@@ -7,24 +7,28 @@ one classical field of sets per atom, which gives a compact block
 representation next to the extensional member view.  Generation is a
 least-fixpoint closure; an independent fiberwise route recomputes it
 through classical signature partitions for cross-checking.
+
+The member-level closure (`generate_dynkin`,
+`generate_sigma_extensional`) and `classify` work on per-atom point
+bitmasks (`condsets.MaskCodec`), where complement, union, difference
+and disjointness are integer operations per atom and the concatenations
+of a family are the product of its per-atom masks.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import product
+from operator import and_, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import classical
 from .algebra import MeasureAlgebra
-from .condsets import (
-    CondSpace,
-    ConditionalSet,
-    GroundSpace,
-    Point,
-    _mixes,
-    cond_difference,
-    cond_intersection,
-    cond_union,
-)
+from .condsets import CondSpace, ConditionalSet, GroundSpace, MaskCodec, Point, _mixes
+
+# No longer called here, since the member loops run on masks; the binding
+# stays because `bench/selftest` checks that the tracer swaps it here.
+from .condsets import cond_intersection  # noqa: F401
 
 
 class SetRing:
@@ -223,72 +227,92 @@ def mix_closure(cspace: CondSpace, members: Iterable[ConditionalSet]) -> frozens
     members = list(members)
     if not members:
         return frozenset()
-    # Copied from a set: a frozenset built straight from the generator
-    # would iterate in another order, and the closures iterate the result.
-    return frozenset(set(_mixes(cspace.algebra.atoms, _mix_options(cspace.algebra, members))))
+    return frozenset(_mixes(cspace.algebra.atoms, _mix_options(cspace.algebra, members)))
+
+
+def _stable_codes(cspace: CondSpace, members: Iterable[ConditionalSet]) -> tuple[MaskCodec, set] | None:
+    """The mask tuples of a nonempty stable collection, or None.
+
+    A collection always lies inside its concatenations, the product of
+    its per-atom masks, so it is stable exactly when it is as large as
+    that product."""
+    ms = frozenset(members)
+    if not ms:
+        return None
+    if not all(cspace.contains(v) for v in ms):
+        raise ValueError("members outside the conditional power set")
+    codec = MaskCodec(cspace)
+    codes = {codec.encode(v) for v in ms}
+    if math.prod(len(set(column)) for column in zip(*codes)) != len(codes):
+        return None
+    return codec, codes
 
 
 def is_stable_collection(cspace: CondSpace, members: Iterable[ConditionalSet]) -> bool:
     """Nonempty and closed under every concatenation of its own members."""
-    ms = frozenset(members)
-    if not ms:
-        return False
-    if not all(cspace.contains(v) for v in ms):
-        raise ValueError("members outside the conditional power set")
-    return all(v in ms for v in _mixes(cspace.algebra.atoms, _mix_options(cspace.algebra, ms)))
+    return _stable_codes(cspace, members) is not None
 
 
 def classify(cspace: CondSpace, members: Iterable[ConditionalSet]) -> str:
-    """Strongest applicable label: 'sigma', 'dynkin', 'ring' or 'none'."""
-    ms = frozenset(members)
-    if not ms or not is_stable_collection(cspace, ms):
+    """Strongest applicable label: 'sigma', 'dynkin', 'ring' or 'none'.
+
+    Decided on per-atom point masks (`MaskCodec`), as in `_member_closure`."""
+    stable = _stable_codes(cspace, members)
+    if stable is None:
         return "none"
-    listed = list(ms)
-    has_top = cspace.top in ms
-    complements = all(cspace.complement(v) in ms for v in listed)
-    all_unions = all(cond_union([v, w]) in ms for v in listed for w in listed)
+    codec, codes = stable
+    full = codec.full
+    listed = list(codes)
+    has_top = codec.top in codes
+    complements = all(tuple(full ^ x for x in m) in codes for m in listed)
+    all_unions = all(tuple(map(or_, m, k)) in codes for m in listed for k in listed)
     if has_top and complements and all_unions:
         return "sigma"
     disjoint_unions = all(
-        cond_union([v, w]) in ms
-        for v in listed
-        for w in listed
-        if cond_intersection([v, w]).is_bottom
+        tuple(map(or_, m, k)) in codes
+        for m in listed
+        for k in listed
+        if not any(map(and_, m, k))
     )
     if has_top and complements and disjoint_unions:
         return "dynkin"
-    relative = all(cond_difference(v, w) in ms for v in listed for w in listed)
+    relative = all(tuple(x & ~y for x, y in zip(m, k)) in codes for m in listed for k in listed)
     if relative and all_unions:
         return "ring"
     return "none"
 
 
 def _member_closure(cspace: CondSpace, seeds: Iterable[ConditionalSet], *, disjoint_unions: bool) -> frozenset:
-    """Least fixpoint of complement, (disjoint) pairwise union and concatenation."""
-    family: set[ConditionalSet] = set(seeds)
-    family.add(cspace.top)
+    """Least fixpoint of complement, (disjoint) pairwise union and concatenation.
+
+    Runs on per-atom point masks (`MaskCodec`): the complement of a set
+    is ``full ^ x`` per atom, a union is ``x | y``, two sets are disjoint
+    when no atom's masks overlap, and the concatenations of a family are
+    the product of its per-atom masks.  The conditional sets are built
+    once, from the fixpoint.
+    """
+    codec = MaskCodec(cspace)
+    full = codec.full
+    family = {codec.encode(v) for v in seeds}
+    family.add(codec.top)
     fresh = list(family)
     while fresh:
-        additions: set[ConditionalSet] = set()
-
-        def offer(v: ConditionalSet) -> None:
-            if v not in family and v not in additions:
-                additions.add(v)
-
+        additions: set[tuple[int, ...]] = set()
         snapshot = list(family)
-        for v in fresh:
-            offer(cspace.complement(v))
-            for w in snapshot:
-                if disjoint_unions and not cond_intersection([v, w]).is_bottom:
+        for m in fresh:
+            additions.add(tuple(full ^ x for x in m))
+            for k in snapshot:
+                if disjoint_unions and any(map(and_, m, k)):
                     continue
-                offer(cond_union([v, w]))
+                additions.add(tuple(map(or_, m, k)))
+        additions -= family
         family |= additions
-        for v in mix_closure(cspace, family):
-            if v not in family:
-                additions.add(v)
-                family.add(v)
+        for m in product(*map(set, zip(*family))):
+            if m not in family:
+                additions.add(m)
+                family.add(m)
         fresh = list(additions)
-    return frozenset(family)
+    return frozenset(map(codec.decode, family))
 
 
 def generate_sigma_extensional(cspace: CondSpace, generator: Iterable[ConditionalSet]) -> frozenset:

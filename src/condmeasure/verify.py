@@ -756,11 +756,13 @@ def _shrink(case: Callable[[Draw, Size], None], seed: int, index: int, cap: Size
     """Re-run a failing case at smaller sizes; report the smallest witness,
     or the failing ``size`` when no smaller size fails.
 
-    Each re-run replays the case's own draws: its seed, with the two size
-    draws of `run_suite` spent first, so at the failing size it is the
-    failing case."""
+    Only ladder sizes within ``size`` in both atoms and points are tried,
+    so a shrunk witness is never larger than the failing case.  Each
+    re-run replays the case's own draws: its seed, with the two size
+    draws of `run_suite` (within ``cap``) spent first, so at the failing
+    size it is the failing case."""
     for small in SHRINK_LADDER:
-        if small.atoms > cap.atoms or small.points > cap.points:
+        if small.atoms > size.atoms or small.points > size.points:
             continue
         rng = random.Random(seed * 1000003 + index)
         _case_size(rng, cap)

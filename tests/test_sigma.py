@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,7 +15,9 @@ from condmeasure import (
     StableRing,
     StableSigmaAlgebra,
     classify,
+    cond_intersection,
     cond_preimage,
+    cond_union,
     fiberwise_sigma_oracle,
     generate_dynkin,
     generate_sigma,
@@ -22,6 +26,7 @@ from condmeasure import (
     pi_lambda_check,
 )
 from condmeasure.sigma import generate_sigma_extensional, mix_closure
+from condmeasure.verify import Draw, Size
 
 
 def mk(space, fibers):
@@ -159,6 +164,94 @@ class TestGeneration:
         assert not pi_lambda_check(quad, gen)
         assert len(generate_dynkin(quad, gen)) == 6
         assert generate_sigma(quad, gen).member_count() == 16
+
+
+def _concatenations(cspace, family):
+    """Every set that takes each atom's part from some member of ``family``."""
+    options = [{v.restrict(frozenset((a,))) for v in family} for a in cspace.algebra.atoms]
+    return {cond_union(choice) for choice in product(*options)}
+
+
+def _reference_closure(cspace, seeds, *, disjoint_unions):
+    """The member closure on `ConditionalSet`s: complement, (disjoint)
+    pairwise union and concatenation until nothing new appears."""
+    family = set(seeds) | {cspace.top}
+    fresh = set(family)
+    while fresh:
+        new = {cspace.complement(v) for v in fresh}
+        new |= {
+            cond_union([v, w])
+            for v in fresh
+            for w in family
+            if not disjoint_unions or cond_intersection([v, w]).is_bottom
+        }
+        new |= _concatenations(cspace, family | new)
+        fresh = new - family
+        family |= fresh
+    return frozenset(family)
+
+
+def _reference_classify(cspace, members):
+    ms = frozenset(members)
+    if not ms or _concatenations(cspace, ms) != ms:
+        return "none"
+    pairs = [(v, w) for v in ms for w in ms]
+    complemented = cspace.top in ms and all(cspace.complement(v) in ms for v in ms)
+    unions = all(cond_union([v, w]) in ms for v, w in pairs)
+    if complemented and unions:
+        return "sigma"
+    if complemented and all(cond_union([v, w]) in ms for v, w in pairs if cond_intersection([v, w]).is_bottom):
+        return "dynkin"
+    # v minus w is the meet of v with the complement of w
+    if unions and all(cond_intersection([v, cspace.complement(w)]) in ms for v, w in pairs):
+        return "ring"
+    return "none"
+
+
+class TestMaskClosures:
+    """The mask-level closures and `classify` against the set-level reference."""
+
+    def check(self, cspace, gen, labels):
+        dynkin = generate_dynkin(cspace, gen)
+        sigma = generate_sigma_extensional(cspace, gen)
+        assert dynkin == _reference_closure(cspace, gen, disjoint_unions=True)
+        assert sigma == _reference_closure(cspace, gen, disjoint_unions=False)
+        assert sigma == frozenset(generate_sigma(cspace, gen).members())
+        for members in (dynkin, sigma, gen, gen + [BOTTOM], mix_closure(cspace, gen)):
+            label = classify(cspace, members)
+            assert label == _reference_classify(cspace, members), (members, label)
+            labels.add(label)
+        return dynkin, sigma
+
+    def test_seeded_spaces_match_the_reference(self):
+        labels = set()
+        for seed in range(40):
+            rng = random.Random(seed)
+            draw = Draw(rng)
+            cspace = draw.cspace(Size(rng.randint(1, 3), rng.randint(1, 3)))
+            gen = [draw.cset(cspace) for _ in range(rng.randint(1, 3))]
+            self.check(cspace, gen, labels)
+            ring = list(draw.ring(cspace).members())
+            label = classify(cspace, ring)
+            assert label == _reference_classify(cspace, ring) in ("ring", "sigma"), ring
+            labels.add(label)
+        assert labels == {"sigma", "ring", "none"}, labels
+
+    def test_dynkin_differs_from_sigma_on_four_points(self):
+        # on at most 3 points every stable Dynkin system is a sigma-algebra;
+        # these generators are not meet-closed and need a fourth point
+        algebra = MeasureAlgebra.uniform(["a1", "a2"])
+        cspace = CondSpace(algebra, GroundSpace((1, 2, 3, 4)))
+        labels = set()
+        for gen in (
+            [mk(cspace, {"a1": {1, 2}}), mk(cspace, {"a1": {1, 3}})],
+            [mk(cspace, {"a1": {1, 2}, "a2": {1, 2}}), mk(cspace, {"a1": {1, 3}, "a2": {3}})],
+            [mk(cspace, {"a1": {1, 2}, "a2": {1, 3}}), mk(cspace, {"a2": {1, 2}})],
+        ):
+            dynkin, sigma = self.check(cspace, gen, labels)
+            assert dynkin < sigma
+            assert classify(cspace, dynkin) == "dynkin"
+        assert "dynkin" in labels
 
 
 class TestMeasurability:

@@ -1,3 +1,5 @@
+import random
+import re
 import sys
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from condmeasure.verify import (
     SUITES,
     Draw,
     Size,
+    _case_size,
     exhaustive_complement_check,
     inject_fault,
     run_suite,
@@ -99,12 +102,36 @@ class TestFaults:
             assert (f * r).values["a2"][1] == 2
 
     def test_shrink_replays_the_failing_case(self):
-        # at seed 42 these three cases fail at sizes off the shrink ladder or
-        # only through their own draws; replaying those draws shrinks them
+        # at seed 42 cases 47 and 72 fail only through their own draws;
+        # replaying those draws shrinks them.  Case 42 fails at 3 atoms and
+        # 2 points, and no ladder size within that fails.
         with inject_fault("measure-eval-max"):
             broken = run_suite("outer", seed=42, cases=100)
         assert [m.partition(":")[0] for m in broken.failures] == ["case 42", "case 47", "case 72"]
-        assert all(m.split(": ", 1)[1].startswith("(shrunk to ") for m in broken.failures), broken.failures
+        heads = [m.split(": ", 1)[1].partition(")")[0] + ")" for m in broken.failures]
+        assert heads == [
+            "(not shrunk: 3 atoms, 2 points)",
+            "(shrunk to 1 atoms, 2 points)",
+            "(shrunk to 1 atoms, 2 points)",
+        ], broken.failures
+
+    @pytest.mark.parametrize(
+        ("fault", "suite"), [("outer-ignores-uncovered", "outer"), ("caratheodory-rejects-uncovered", "caratheodory")]
+    )
+    def test_shrunk_witness_is_never_larger_than_the_failure(self, fault, suite):
+        # case 4 fails at 3 atoms and 2 points; the ladder sizes within
+        # that pass, so it is not shrunk, and never "shrunk" to 4 points
+        with inject_fault(fault):
+            broken = run_suite(suite, seed=42, cases=100)
+        case_4 = [m for m in broken.failures if m.startswith("case 4:")]
+        assert case_4 and case_4[0].startswith("case 4: (not shrunk: 3 atoms, 2 points) "), broken.failures
+        _, cap = SUITES[suite]
+        for m in broken.failures:
+            found = re.match(r"case (\d+): \(shrunk to (\d+) atoms, (\d+) points\)", m)
+            if found:
+                index, atoms, points = map(int, found.groups())
+                size = _case_size(random.Random(42 * 1000003 + index), cap)
+                assert atoms <= size.atoms and points <= size.points, (m, size)
 
     def test_uniqueness_decides_meet_closure_from_the_fibers(self):
         # the broken meet builds the generator, so it cannot also judge it
