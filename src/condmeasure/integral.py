@@ -7,10 +7,10 @@ functions.  In the finite model a measurable integrand is constant on
 each block of the measure's domain, so that supremum is the block sum
 of value times mass, with zero absorbing infinity; `integrate` computes
 exactly that, keeping the positive and negative parts apart under the
-usual finiteness requirement for signed integrands.  The canonical
-level-set staircase (`integrate_nonneg`) and the dyadic staircase route
-(`integrate_via_dyadic`) build the supremum itself and serve as oracles
-for the block sum.
+usual finiteness requirement for signed integrands.  The elementary
+integral of the canonical level-set staircase (`canonical_elementary`)
+and the dyadic staircase route (`integrate_via_dyadic`) build the
+supremum itself and serve as oracles for the block sum.
 
 `Integrand(sigma, values)` validates its input: a rational for every
 atom and ground point, constant on each block of ``sigma``.  Integrand
@@ -301,16 +301,6 @@ def dyadic_approximation(f: Integrand, n: int) -> ElementaryFunction:
     return ElementaryFunction(f.sigma, terms)
 
 
-def integrate_nonneg(f: Integrand, mu: StableMeasure) -> Field:
-    """Supremum of elementary integrals under f, exact via the canonical form.
-
-    Not on the production path: it checks the block sum of `integrate`.
-    """
-    if not f.is_nonnegative():
-        raise ValueError("integrate_nonneg needs a nonnegative integrand")
-    return elementary_integral(canonical_elementary(f), mu)
-
-
 #: The deepest staircase level `integrate_via_dyadic` tries.
 _DYADIC_LEVELS = 64
 
@@ -364,11 +354,12 @@ def integrate(f: Integrand, mu: StableMeasure) -> Field:
     The block sum: at each atom, the value of f on each block of the
     measure's domain times the block's mass, with zero absorbing
     infinity.  That is the supremum of the dominated elementary
-    integrals, which `integrate_nonneg` and `integrate_via_dyadic`
-    build as oracles.  The domain must cover every ground point and f
-    must be constant on its blocks.  Nonnegative integrands may
-    integrate to infinity; genuinely signed ones must have both part
-    integrals finite, otherwise the integrand is not integrable.
+    integrals, which the canonical staircase (`canonical_elementary`)
+    and `integrate_via_dyadic` build as oracles.  The domain must cover
+    every ground point and f must be constant on its blocks.
+    Nonnegative integrands may integrate to infinity; genuinely signed
+    ones must have both part integrals finite, otherwise the integrand
+    is not integrable.
     """
     algebra = f.sigma.algebra
     if mu.algebra.atoms != algebra.atoms:

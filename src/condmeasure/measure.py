@@ -5,11 +5,15 @@ exact masses on the blocks of its domain.  Localization and additivity
 then hold by construction; the behavioral checker still verifies the
 whole axiom list on any measure-shaped object, so deliberately broken
 evaluators can be caught.  Pre-measures live on stable rings; their
-outer measures are computed by exact enumeration of finite ring covers
-and extend to the generated sigma-algebra.  That cover search is the
-only one in the package: the oracle it is checked against,
-`classical.outer_mass`, reads the value off the block masses in closed
-form.
+outer measures are computed by exact enumeration of finite ring covers.
+That cover search is the only one in the package: the oracle it is
+checked against, `classical.outer_mass`, reads the value off the block
+masses in closed form.
+
+`caratheodory_extend` restricts the outer measure to the generated
+stable sigma-algebra, which it reads off the ring without a closure:
+at each atom the generated blocks are the ring's blocks plus one block
+of the points the ring does not cover.
 
 `StableMeasure(domain, block_mass)` validates its masses against the
 domain's blocks.  `StableMeasure.eval` checks that the domain can
@@ -51,7 +55,7 @@ from .algebra import (
     is_finite,
 )
 from .condsets import BOTTOM, ConditionalSet, MaskCodec, PointFun, cond_intersection, cond_union
-from .sigma import StableRing, StableSigmaAlgebra, generate_sigma
+from .sigma import SetRing, StableRing, StableSigmaAlgebra
 
 
 _ZERO = Fraction(0)
@@ -418,24 +422,24 @@ def is_caratheodory_measurable(outer: OuterMeasure, v: ConditionalSet) -> bool:
 def caratheodory_extend(premeasure: StableMeasure) -> StableMeasure:
     """Extension of a ring pre-measure to the generated sigma-algebra.
 
-    The domain is generated on the stable side from single-atom block
-    sets; each block of the result gets its outer mass, which agrees
-    with the pre-measure on the ring.
+    The generated sigma-algebra is read off the ring: at each atom its
+    blocks are the ring's blocks, plus one block holding the ground
+    points the ring does not cover, when there are any.  Each block of
+    the result gets its outer mass, which agrees with the pre-measure
+    on the ring.
     """
+    outer = OuterMeasure(premeasure)
     ring = premeasure.domain
     cspace = ring.cspace
-    generator = []
-    for a in cspace.algebra.atoms:
-        for b in ring.ring_at(a).blocks:
-            generator.append(ConditionalSet((a,), {a: b}))
-    sigma = generate_sigma(cspace, generator)
-    outer = OuterMeasure(premeasure)
+    per_atom: dict[str, SetRing] = {}
     table: dict[str, dict[frozenset, ExtValue]] = {}
     for a in cspace.algebra.atoms:
-        table[a] = {}
-        for b in sigma.ring_at(a).blocks:
-            table[a][b] = outer.evaluate(ConditionalSet((a,), {a: b}))[a]
-    return StableMeasure(sigma, table)
+        ring_a = ring.ring_at(a)
+        rest = cspace.space.point_set - ring_a.covered
+        per_atom[a] = SetRing([*ring_a.blocks, rest] if rest else ring_a.blocks)
+        # in the result's block order, which the mass table then keeps
+        table[a] = {b: outer.evaluate(ConditionalSet((a,), {a: b}))[a] for b in per_atom[a].blocks}
+    return StableMeasure(StableSigmaAlgebra(cspace, per_atom), table)
 
 
 def uniqueness_check(mu: StableMeasure, nu: StableMeasure, generator: Sequence[ConditionalSet]) -> bool:

@@ -273,7 +273,8 @@ def _case_sigma(draw: Draw, size: Size) -> None:
     oracle = fiberwise_sigma_oracle(cspace, gen)
     assert sig == oracle, f"fixpoint vs fiberwise oracle on generator {gen!r}"
     dynkin = generate_dynkin(cspace, gen)
-    members = frozenset(sig.members())
+    listed = list(sig.members())
+    members = frozenset(listed)
     assert members == dynkin, f"sigma vs dynkin members on generator {gen!r}"
     if sig.member_count() <= 96:
         assert members == generate_sigma_extensional(cspace, gen), f"extensional closure differs: {gen!r}"
@@ -283,7 +284,9 @@ def _case_sigma(draw: Draw, size: Size) -> None:
     maps = {a: {p: draw.rng.choice(cspace.space.points) for p in cspace.space.points} for a in cspace.algebra.atoms}
     f = StableFunction(maps)
     by_gen = is_stably_measurable(f, sig, gen)
-    by_all = is_stably_measurable(f, sig, members)
+    # in enumeration order: the check stops at its first miss, so a
+    # frozenset's hash order would decide how many preimages get built
+    by_all = is_stably_measurable(f, sig, listed)
     assert by_gen == by_all, f"generator criterion: {maps!r} against {gen!r}"
 
     # preimage respects the lattice
@@ -773,6 +776,8 @@ def _shrink(case: Callable[[Draw, Size], None], seed: int, index: int, cap: Size
 
 
 def run_suite(name: str, seed: int, cases: int) -> SuiteResult:
+    if name not in SUITES:
+        raise ValueError(f"unknown suite: {name}")
     case, cap = SUITES[name]
     failures: list[str] = []
     for i in range(cases):
@@ -784,14 +789,6 @@ def run_suite(name: str, seed: int, cases: int) -> SuiteResult:
         if len(failures) >= 3:
             break
     return SuiteResult(name, cases, failures)
-
-
-def run_suites(names: Sequence[str] | None, seed: int, cases: int) -> list[SuiteResult]:
-    chosen = list(SUITES) if not names else list(names)
-    unknown = [n for n in chosen if n not in SUITES]
-    if unknown:
-        raise ValueError(f"unknown suites: {', '.join(unknown)}")
-    return [run_suite(n, seed, cases) for n in chosen]
 
 
 # ---------------------------------------------------------------------------

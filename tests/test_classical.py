@@ -7,7 +7,7 @@ from pathlib import Path
 from condmeasure import INF, CondSpace, ConditionalSet, GroundSpace, MeasureAlgebra, StableMeasure
 from condmeasure import classical
 from condmeasure.measure import caratheodory_extend
-from condmeasure.sigma import SetRing, StableRing
+from condmeasure.sigma import SetRing, StableRing, generate_sigma
 
 F = Fraction
 
@@ -51,19 +51,26 @@ def _random_premeasure(rng: random.Random) -> StableMeasure:
 
 def test_extension_matches_the_closed_form():
     rng = random.Random(2024)
-    seen_inf = seen_uncovered = 0
+    seen_inf = seen_uncovered = seen_empty = seen_covered = 0
     for _ in range(300):
         pre = _random_premeasure(rng)
         ext = caratheodory_extend(pre)
-        universe = pre.domain.space.point_set
+        # the domain is the sigma-algebra the single-atom ring blocks generate
+        ring = pre.domain
+        generator = [ConditionalSet((a,), {a: b}) for a in pre.algebra.atoms for b in ring.ring_at(a).blocks]
+        assert ext.domain == generate_sigma(ring.cspace, generator), pre
+        universe = ring.space.point_set
         for a in pre.algebra.atoms:
             want = classical.caratheodory_blocks(universe, pre.block_mass[a])
             assert set(ext.domain.ring_at(a).blocks) == set(want)
             for b, mass in want.items():
                 assert ext.eval(ConditionalSet((a,), {a: b}))[a] == mass, (pre, a, b)
+            covered = ring.ring_at(a).covered
             seen_inf += INF in pre.block_mass[a].values()
-            seen_uncovered += pre.domain.ring_at(a).covered != universe
-    assert seen_inf and seen_uncovered
+            seen_uncovered += covered != universe
+            seen_empty += not covered
+            seen_covered += covered == universe
+    assert seen_inf and seen_uncovered and seen_empty and seen_covered
 
 
 def test_oracle_imports_only_the_standard_library_and_algebra():

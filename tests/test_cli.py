@@ -100,6 +100,13 @@ class TestVerify:
         assert out.startswith("seed 4, 2 cases per suite\n")
         assert f"all {len(verify.SUITES)} suites passed" in out
 
+    def test_default_run_lists_every_suite(self, capsys):
+        assert cli.main(["verify", "--cases", "2", "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("suite ")] == [
+            f"suite {name}: ok (2 cases)" for name in verify.SUITES
+        ]
+
     def test_suite_selection(self, capsys):
         assert cli.main(["verify", "--cases", "3", "--suite", "lattice", "--suite", "hahn"]) == 0
         out = capsys.readouterr().out
@@ -170,7 +177,7 @@ class TestVerify:
         assert "timing" not in out.out
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
-        assert cli.main(["verify", "--suite", "nope"]) == 1
+        assert cli.main(["verify", "--suite", "no-such-suite"]) == 1
         assert "usage error" in capsys.readouterr().err
 
 

@@ -23,7 +23,6 @@ from condmeasure import (
     integrate,
     integrate_via_dyadic,
 )
-from condmeasure.integral import integrate_nonneg
 from condmeasure.measure import sample_members
 from condmeasure.verify import Draw, Size
 
@@ -133,7 +132,6 @@ class TestIntegration:
         _, mu, f = setting
         expected = {"a1": 2, "a2": Fraction(7, 4)}
         assert integrate(f, mu).as_dict() == expected
-        assert integrate_nonneg(f, mu).as_dict() == expected
         assert integrate_via_dyadic(f, mu).as_dict() == expected
         assert elementary_integral(canonical_elementary(f), mu).as_dict() == expected
 

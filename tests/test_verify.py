@@ -1,10 +1,14 @@
+import os
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import condmeasure
 from condmeasure import CondSpace, GroundSpace, MeasureAlgebra
 from condmeasure.verify import (
     FAULTS,
@@ -15,7 +19,6 @@ from condmeasure.verify import (
     exhaustive_complement_check,
     inject_fault,
     run_suite,
-    run_suites,
 )
 
 
@@ -31,13 +34,36 @@ class TestSuites:
         assert first == second
 
     def test_unknown_suite_rejected(self):
-        with pytest.raises(ValueError, match="unknown suites"):
-            run_suites(["no-such-suite"], seed=0, cases=1)
+        with pytest.raises(ValueError, match="unknown suite: no-such-suite"):
+            run_suite("no-such-suite", seed=0, cases=1)
 
-    def test_run_all_by_default(self):
-        results = run_suites(None, seed=3, cases=2)
-        assert [r.name for r in results] == list(SUITES)
-        assert all(r.ok for r in results)
+    def test_sets_built_do_not_follow_string_hashing(self):
+        # a check that stops at its first miss must walk its sets in a
+        # fixed order, or the number of sets it builds follows the hash seed
+        script = (
+            "from condmeasure import condsets, verify\n"
+            "built = 0\n"
+            "init = condsets.ConditionalSet.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    global built\n"
+            "    built += 1\n"
+            "    init(self, *args, **kwargs)\n"
+            "condsets.ConditionalSet.__init__ = counted\n"
+            "assert verify.run_suite('sigma', 1, 40).ok\n"
+            "print(built)\n"
+        )
+        package_root = Path(condmeasure.__file__).resolve().parent.parent
+        counts = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": str(package_root), "PYTHONHASHSEED": hash_seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for hash_seed in ("1", "2")
+        ]
+        assert counts[0] == counts[1]
 
 
 class TestExhaustiveComplement:
