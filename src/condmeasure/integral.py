@@ -12,12 +12,20 @@ integral of the canonical level-set staircase (`canonical_elementary`)
 and the dyadic staircase route (`integrate_via_dyadic`) build the
 supremum itself and serve as oracles for the block sum.
 
+`integrate` sums on integers: at each atom the positive and the
+negative part are each a numerator over a common denominator, with a
+flag for an infinite part, and the atom's value becomes one `Fraction`
+at the end.
+
 `Integrand(sigma, values)` validates its input: a rational for every
-atom and ground point, constant on each block of ``sigma``.  Integrand
-arithmetic (`+`, `-`, `*`, `max2`, `min2`, `pos_part`, `neg_part`) and
-`indicator` build their results through the trusted `Integrand._of`:
-pointwise operations on block-constant rows are block-constant, and an
-indicator of a member of ``sigma`` is constant on its blocks.
+atom and ground point, constant on each block of ``sigma`` (each point
+is compared with its block's first).  Values that are already
+`Fraction`s are kept as they are.  Integrand arithmetic (`+`, `-`, `*`,
+`max2`, `min2`, `pos_part`, `neg_part`) and `indicator` build their
+results through the trusted `Integrand._of`: pointwise operations on
+block-constant rows are block-constant, and an indicator of a member of
+``sigma`` is constant on its blocks.  A product with an indicator
+selects values instead of multiplying them (`_times`).
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .algebra import Event, ExtValue, Field, ext_add, ext_mul, format_value
+from .algebra import INF, Event, ExtValue, Field, format_value
 from .condsets import ConditionalSet, PointFun, cond_intersection, cond_union
 from .measure import StableMeasure
 from .sigma import StableSigmaAlgebra
@@ -37,6 +45,28 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 def _scaled(row: Mapping, r: Fraction) -> dict:
     return {p: v * r for p, v in row.items()}
+
+
+def _block_value(row: Mapping, block: frozenset) -> Fraction | None:
+    """The one value ``row`` takes on ``block``, or None when it varies:
+    each point is compared with the block's first."""
+    points = iter(block)
+    v = row[next(points)]
+    for p in points:
+        w = row[p]
+        if w is not v and w != v:
+            return None
+    return v
+
+
+def _times(x: Fraction, y: Fraction) -> Fraction:
+    """``x * y``, reading the shared ``_ONE`` and ``_ZERO`` of `indicator`
+    as a selection instead of a `Fraction` product."""
+    if y is _ONE:
+        return x
+    if y is _ZERO:
+        return _ZERO
+    return x * y
 
 
 class Integrand:
@@ -55,11 +85,11 @@ class Integrand:
             raise ValueError("integrand must assign values on every atom")
         table: dict[str, dict] = {}
         for a in atoms:
-            row = {p: Fraction(v) for p, v in values[a].items()}
-            if set(row) != points:
+            row = {p: v if type(v) is Fraction else Fraction(v) for p, v in values[a].items()}
+            if row.keys() != points:
                 raise ValueError(f"integrand at atom {a!r} must cover every ground point")
             for b in sigma.blocks(a):
-                if len({row[p] for p in b}) != 1:
+                if _block_value(row, b) is None:
                     raise ValueError(f"integrand not measurable: varies on a block at atom {a!r}")
             table[a] = row
         self.sigma = sigma
@@ -108,7 +138,7 @@ class Integrand:
 
     def __mul__(self, other: "Integrand | Field | Fraction | int") -> "Integrand":
         if isinstance(other, Integrand):
-            return self._zip(other, lambda x, y: x * y)
+            return self._zip(other, _times)
         if isinstance(other, Field):
             if not other.is_finite():
                 raise ValueError("integrands scale by finite fields only")
@@ -359,36 +389,51 @@ def integrate(f: Integrand, mu: StableMeasure) -> Field:
     every ground point and f must be constant on its blocks.
     Nonnegative integrands may integrate to infinity; genuinely signed
     ones must have both part integrals finite, otherwise the integrand
-    is not integrable.
+    is not integrable.  Each part is summed on integer numerators.
     """
     algebra = f.sigma.algebra
     if mu.algebra.atoms != algebra.atoms:
         raise ValueError("fields over different algebras")
     signed = False
-    pos: dict[str, ExtValue] = {}
-    neg: dict[str, ExtValue] = {}
+    values: list[ExtValue] = []
     for a in algebra.atoms:
         row = f.values[a]
         if mu.domain.ring_at(a).covered != row.keys():
             raise _not_measurable(f, mu)
-        up: ExtValue = Fraction(0)
-        down: ExtValue = Fraction(0)
+        # each part: a numerator over a common denominator, and an INF flag
+        pn, pd, pinf = 0, 1, False
+        nn, nd, ninf = 0, 1, False
         for block, m in mu.block_mass[a].items():
-            points = iter(block)
-            v = row[next(points)]
-            if any(row[p] != v for p in points):
+            v = _block_value(row, block)
+            if v is None:
                 raise _not_measurable(f, mu)
-            if v > 0:
-                up = ext_add(up, ext_mul(v, m))
-            elif v < 0:
+            n = v.numerator
+            if n < 0:
                 signed = True
-                down = ext_add(down, ext_mul(-v, m))
-        pos[a] = up
-        neg[a] = down
-    positive = Field(algebra, pos)
-    if not signed:
-        return positive
-    negative = Field(algebra, neg)
-    if not (positive.is_finite() and negative.is_finite()):
+            elif not n:
+                continue  # zero absorbs infinity
+            if m is INF:
+                if n > 0:
+                    pinf = True
+                else:
+                    ninf = True
+                continue
+            n *= m.numerator
+            if not n:
+                continue
+            d = v.denominator * m.denominator
+            if n > 0:
+                if d == pd:
+                    pn += n
+                else:
+                    pn = pn * d + n * pd
+                    pd *= d
+            elif d == nd:
+                nn -= n
+            else:
+                nn = nn * d - n * nd
+                nd *= d
+        values.append(INF if pinf or ninf else Fraction(pn * nd - nn * pd, pd * nd))
+    if signed and any(x is INF for x in values):
         raise ValueError("not integrable: a signed part has infinite integral")
-    return positive - negative
+    return Field._of(algebra, tuple(values))

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 from .algebra import ExtValue, Field, MeasureAlgebra
 from .condsets import CondSpace, GroundSpace, PointFun
 from .integral import Integrand, integrate
-from .measure import StableMeasure, _mass_inside
+from .measure import StableMeasure, _fiber_mass
 from .sigma import SetRing, StableSigmaAlgebra
 
 
@@ -47,9 +47,10 @@ class Kernel:
 
     def mass(self, atom: str, subset: frozenset) -> ExtValue:
         subset = frozenset(subset)
-        if not self.field.contains(subset):
+        m = _fiber_mass(self.block_mass[atom], self.field.covered, subset)
+        if m is None:
             raise ValueError(f"not measurable: {sorted(map(str, subset))}")
-        return _mass_inside(self.block_mass[atom], subset)
+        return m
 
     def is_probability(self) -> bool:
         return self.measure.is_probability()

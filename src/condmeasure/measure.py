@@ -16,9 +16,14 @@ at each atom the generated blocks are the ring's blocks plus one block
 of the points the ring does not cover.
 
 `StableMeasure(domain, block_mass)` validates its masses against the
-domain's blocks.  `StableMeasure.eval` checks that the domain can
-measure its argument, then sums each atom's block masses on integers
-and builds its `Field` through the trusted `Field._of`.
+domain's blocks.  `StableMeasure.eval` makes one pass over each atom's
+blocks (`_fiber_mass`) that both decides membership and sums: a block
+inside the fiber adds its mass, while a block the fiber cuts, or a
+fiber point outside every block, makes the set unmeasurable.  The sum
+runs on integer numerators over a common denominator, one `Fraction`
+per atom is built at the end, and the `Field` through the trusted
+`Field._of`.  `Kernel.mass` and the member table of `OuterMeasure` use
+the same helper.
 
 `check_measure_axioms` runs its pair loop on per-atom point bitmasks
 (`condsets.MaskCodec`): the union, meet and difference of a pair are
@@ -61,25 +66,33 @@ from .sigma import SetRing, StableRing, StableSigmaAlgebra
 _ZERO = Fraction(0)
 
 
-def _mass_inside(masses: Mapping[frozenset, ExtValue], fiber: frozenset) -> ExtValue:
-    """The extended sum of the masses of the blocks inside ``fiber``.
+def _fiber_mass(masses: Mapping[frozenset, ExtValue], covered: frozenset, fiber: frozenset) -> ExtValue | None:
+    """The extended sum of the masses of the blocks inside ``fiber``, or
+    None when the blocks, which cover ``covered``, cannot measure it.
 
-    Sums on integers, a numerator over a common denominator, and builds
-    one `Fraction` at the end; `INF` as soon as an infinite block lies
-    inside.
+    A fiber point outside ``covered`` gives None.  Then one pass over the
+    blocks both tests membership and sums: a block inside the fiber adds
+    its mass, and a block the fiber cuts gives None.  Sums on integers, a
+    numerator over a common denominator, and builds one `Fraction` at the
+    end; `INF` when an infinite block lies inside.
     """
-    num, den = 0, 1
+    if not fiber <= covered:
+        return None
+    num, den, inf = 0, 1, False
     for b, m in masses.items():
         if b <= fiber:
             if m is INF:
-                return INF
+                inf = True
+                continue
             d = m.denominator
             if d == den:
                 num += m.numerator
             else:
                 num = num * d + m.numerator * den
                 den *= d
-    return Fraction(num, den)
+        elif not b.isdisjoint(fiber):
+            return None
+    return INF if inf else Fraction(num, den)
 
 
 class StableMeasure:
@@ -133,17 +146,25 @@ class StableMeasure:
         return self.domain.algebra
 
     def eval(self, v: ConditionalSet) -> Field:
-        """Mass of a conditional set, atom by atom; zero off the support."""
-        if not self.domain.contains(v):
-            raise ValueError(f"not measurable: {v!r}")
+        """Mass of a conditional set, atom by atom; zero off the support.
+
+        Raises when the domain cannot measure the set: an atom of its
+        support is off the algebra, or a fiber cuts a block or reaches a
+        point outside every block.
+        """
         fibers = v.fibers
-        return Field._of(
-            self.algebra,
-            tuple(
-                _mass_inside(self.block_mass[a], fibers[a]) if a in fibers else _ZERO
-                for a in self.algebra.atoms
-            ),
-        )
+        block_mass = self.block_mass
+        if not fibers.keys() <= block_mass.keys():
+            raise ValueError(f"not measurable: {v!r}")
+        algebra, per_atom = self.domain.algebra, self.domain.per_atom
+        values = []
+        for a in algebra.atoms:
+            fiber = fibers.get(a)
+            m = _ZERO if fiber is None else _fiber_mass(block_mass[a], per_atom[a].covered, fiber)
+            if m is None:
+                raise ValueError(f"not measurable: {v!r}")
+            values.append(m)
+        return Field._of(algebra, tuple(values))
 
     def total(self) -> Field:
         """Mass of the whole covered region at every atom."""
@@ -186,17 +207,27 @@ class StableMeasure:
 
 
 def sample_members(domain, cap: int, seed: int = 0) -> list[ConditionalSet]:
-    """A deterministic spread of domain members, exhaustive when small."""
+    """A deterministic spread of domain members, exhaustive when small.
+
+    A sampled member draws, at each atom with k blocks, one index below
+    2^k and reads its bits as the blocks of its fiber; index 0 leaves the
+    atom off the support.  That is the draw `random.choice` makes on the
+    atom's option list (`atom_options`), without listing its 2^k options.
+    """
     if domain.member_count() <= cap:
         return list(domain.members())
     rng = random.Random(seed)
     atoms = domain.algebra.atoms
-    options = [domain.atom_options(a) for a in atoms]
-    # the first member in enumeration order, every option None
+    blocks = [domain.ring_at(a).blocks for a in atoms]
+    # the first member in enumeration order, every atom off the support
     out = {BOTTOM}
     while len(out) < cap:
-        choices = [rng.choice(opts) for opts in options]
-        out.add(ConditionalSet._of({a: f for a, f in zip(atoms, choices) if f is not None}))
+        fibers = {}
+        for a, bs in zip(atoms, blocks):
+            index = rng.randrange(1 << len(bs))
+            if index:
+                fibers[a] = frozenset().union(*(b for i, b in enumerate(bs) if index >> i & 1))
+        out.add(ConditionalSet._of(fibers))
     return sorted(out, key=repr)
 
 
@@ -362,9 +393,8 @@ class OuterMeasure:
         self._member_masses = {}
         for a in premeasure.algebra.atoms:
             masses = premeasure.block_mass[a]
-            self._member_masses[a] = {
-                m: _mass_inside(masses, m) for m in premeasure.domain.ring_at(a).members() if m
-            }
+            ring = premeasure.domain.ring_at(a)
+            self._member_masses[a] = {m: _fiber_mass(masses, ring.covered, m) for m in ring.members() if m}
 
     @property
     def algebra(self):

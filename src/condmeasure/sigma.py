@@ -162,6 +162,12 @@ class _PerAtomFamily:
 class StableRing(_PerAtomFamily):
     """A stable ring: per atom a classical ring of fibers, any support allowed."""
 
+    def __init__(self, cspace: CondSpace, per_atom: Mapping[str, SetRing]):
+        super().__init__(cspace, per_atom)
+        for a, ring in self.per_atom.items():
+            if not ring.covered <= cspace.space.point_set:
+                raise ValueError(f"blocks at atom {a!r} are not inside the ground points")
+
     @classmethod
     def from_fiber_sets(cls, cspace: CondSpace, per_atom_sets: Mapping[str, Iterable[frozenset]]) -> "StableRing":
         per_atom = {a: SetRing.generated(list(per_atom_sets.get(a, ()))) for a in cspace.algebra.atoms}

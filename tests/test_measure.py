@@ -38,6 +38,21 @@ def mk(space, fibers):
     return space.make(fibers.keys(), fibers)
 
 
+def listed_sample(domain, cap, seed=0):
+    """`sample_members` drawn from each atom's listed options: the
+    reference that the bit-decoding sampler must reproduce."""
+    if domain.member_count() <= cap:
+        return list(domain.members())
+    rng = random.Random(seed)
+    atoms = domain.algebra.atoms
+    options = [domain.atom_options(a) for a in atoms]
+    out = {BOTTOM}
+    while len(out) < cap:
+        choices = [rng.choice(opts) for opts in options]
+        out.add(ConditionalSet._of({a: f for a, f in zip(atoms, choices) if f is not None}))
+    return sorted(out, key=repr)
+
+
 class Counting(StableMeasure):
     """Counts its evaluations."""
 
@@ -331,6 +346,24 @@ class TestStableMeasure:
         assert sample_members(sig, 10, seed=3) == sample_members(sig, 10, seed=3)
         small = StableSigmaAlgebra.trivial(trio)
         assert len(sample_members(small, 100)) == small.member_count()
+
+    def test_sample_members_draws_as_the_option_lists(self):
+        for seed in range(120):
+            rng = random.Random(seed)
+            draw = Draw(rng)
+            cspace = draw.cspace(Size(rng.randint(1, 3), rng.randint(1, 7)))
+            domain = rng.choice(
+                [draw.sigma_algebra(cspace), draw.ring(cspace), StableSigmaAlgebra.discrete(cspace)]
+            )
+            cap = rng.choice((8, 20, 64, 200))
+            assert sample_members(domain, cap, seed) == listed_sample(domain, cap, seed), seed
+
+    def test_sample_members_of_forty_blocks(self):
+        cspace = CondSpace(MeasureAlgebra([("a1", Fraction(1))]), GroundSpace(tuple(range(40))))
+        domain = StableSigmaAlgebra.discrete(cspace)
+        members = sample_members(domain, 200)
+        assert len(members) == len(set(members)) == 200
+        assert all(domain.contains(v) for v in members)
 
 
 class TestOuterMeasure:

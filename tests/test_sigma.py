@@ -76,6 +76,12 @@ class TestStableFamilies:
         assert not ring.contains(mk(trio, {"a2": {2}}))
         assert ring.contains(BOTTOM)
 
+    def test_ring_blocks_must_lie_in_the_ground_points(self):
+        cspace = CondSpace(MeasureAlgebra([("a1", Fraction(1))]), GroundSpace((1, 2)))
+        with pytest.raises(ValueError, match="blocks at atom 'a1' are not inside the ground points"):
+            StableRing(cspace, {"a1": SetRing([{1, 99}])})
+        StableRing(cspace, {"a1": SetRing([{1}])})
+
     def test_sigma_must_cover_the_points(self, trio):
         with pytest.raises(ValueError):
             StableSigmaAlgebra.from_blocks(trio, {"a1": [frozenset({1})], "a2": [frozenset({1, 2, 3})]})
