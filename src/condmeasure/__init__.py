@@ -26,7 +26,6 @@ from .sigma import (
     generate_sigma,
     is_stable_collection,
     is_stably_measurable,
-    pi_lambda_check,
 )
 from .measure import (
     OuterMeasure,
@@ -55,7 +54,6 @@ from .kernels import (
     field_as_observation,
     kernel_to_measure,
     measure_to_kernel,
-    pushforward,
 )
 from .product import (
     StableMarkovKernel,

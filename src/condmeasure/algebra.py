@@ -186,9 +186,6 @@ class MeasureAlgebra:
     def complement_event(self, event: Event) -> Event:
         return self.top - self.event(event)
 
-    def prob(self, event: Event) -> Fraction:
-        return sum((self.weights[a] for a in self.event(event)), Fraction(0))
-
     def largest_event(self, pred: Callable[[Event], bool]) -> Event:
         """Largest event satisfying an atom-local, union-closed predicate.
 
@@ -303,9 +300,6 @@ class Field:
     def is_finite(self) -> bool:
         return all(v is not INF for v in self._values)
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self._values)
-
     def restrict(self, event: Event) -> "Field":
         """Keep the value on the event, zero elsewhere."""
         ev = self.algebra.event(event)
@@ -320,20 +314,3 @@ class Field:
     def format(self) -> str:
         return ", ".join(f"{a}={format_value(v)}" for a, v in zip(self.algebra.atoms, self._values))
 
-
-def field_sup(fields: Sequence[Field]) -> Field:
-    if not fields:
-        raise ValueError("empty supremum")
-    out = fields[0]
-    for f in fields[1:]:
-        out = out.map2(f, lambda x, y: x if y <= x else y)
-    return out
-
-
-def field_inf(fields: Sequence[Field]) -> Field:
-    if not fields:
-        raise ValueError("empty infimum")
-    out = fields[0]
-    for f in fields[1:]:
-        out = out.map2(f, lambda x, y: y if y <= x else x)
-    return out

@@ -2,10 +2,10 @@
 
 Everything here speaks the ordinary language: subsets of a finite point
 set, set rings and set fields, outer measures, Hahn decompositions,
-distribution functions and plain weighted sums.  The conditional
-machinery is checked atom by atom against these routines, so this
-module intentionally avoids importing any of it; the only shared
-vocabulary is the extended value type.
+distribution functions, laws of observations, blockwise averages and
+plain weighted sums.  The conditional machinery is checked atom by atom
+against these routines, so this module intentionally avoids importing
+any of it; the only shared vocabulary is the extended value type.
 
 A ring is given by its block masses.  The blocks partition the covered
 points, so outer mass and the Carathéodory extension are read off them
@@ -109,6 +109,14 @@ def integral(point_masses: Mapping, g: Mapping) -> ExtValue:
 
 def product_point_masses(mx: Mapping, my: Mapping) -> dict:
     return {(p, q): ext_mul(mx[p], my[q]) for p in mx for q in my}
+
+
+def pushforward(weights: Mapping[str, Fraction], xi: Mapping[str, object], points: Iterable) -> dict:
+    """The law of an observation: total weight of the atoms observing each point."""
+    out = {p: Fraction(0) for p in points}
+    for a, w in weights.items():
+        out[xi[a]] += w
+    return out
 
 
 def conditional_expectation(

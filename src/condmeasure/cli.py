@@ -68,11 +68,14 @@ exactly; where no cover exists the value is infinite.  Sets that split
 every test set additively are measurable, they form a sigma-algebra,
 and restricting the outer value to it extends the original masses.""",
     "integral": """\
-Integration is exact: a nonnegative integrand is approached from below
-by staircase functions with dyadic levels, and the supremum is attained
-at the staircase built on the integrand's own level sets.  Signed
-integrands split into positive and negative parts; if both have
-infinite integral the function is not integrable and the call fails.""",
+Integration is exact.  A measurable integrand is constant on each block
+of the measure's sigma-algebra, so its integral is the sum over blocks
+of value times block mass, with zero times infinity counted as zero.
+The supremum of the staircase functions below the integrand, on its own
+level sets or on dyadic levels, is the definition; the suites check the
+block sum against it.  Signed integrands split into positive and
+negative parts; if both have infinite integral the function is not
+integrable and the call fails.""",
     "conditioning": """\
 Grouping atoms into blocks coarsens the algebra; each block becomes one
 atom of a quotient.  The conditional distribution of an observation

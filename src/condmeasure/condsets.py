@@ -276,10 +276,6 @@ class CondSpace:
     def top(self) -> ConditionalSet:
         return self._top
 
-    @property
-    def bottom(self) -> ConditionalSet:
-        return BOTTOM
-
     def make(self, support: Iterable[str], fibers: Mapping[str, Iterable[Point]]) -> ConditionalSet:
         supp = self.algebra.event(support)
         out = ConditionalSet(supp, fibers)
@@ -343,14 +339,6 @@ class CondSpace:
         pts = self.space.points
         fibers = [frozenset(p for i, p in enumerate(pts) if mask >> i & 1) for mask in range(1, 1 << len(pts))]
         yield from _mixes(self.algebra.atoms, [(None, *fibers)] * len(self.algebra.atoms))
-
-    def count_sets(self) -> int:
-        per_atom = (1 << len(self.space.points))  # nonempty fibers plus the 'absent' option
-        return per_atom ** len(self.algebra.atoms)
-
-    def point_funs(self) -> Iterator[PointFun]:
-        for combo in product(self.space.points, repeat=len(self.algebra.atoms)):
-            yield dict(zip(self.algebra.atoms, combo))
 
 
 def product_space(left: GroundSpace, right: GroundSpace) -> GroundSpace:

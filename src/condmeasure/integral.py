@@ -179,23 +179,6 @@ class Integrand:
     def __hash__(self) -> int:
         return hash((self.sigma, tuple(sorted((a, tuple(sorted(row.items(), key=repr))) for a, row in self.values.items()))))
 
-    def level_at_least(self, r: Fraction) -> ConditionalSet:
-        """The conditional set where the value is at least r."""
-        fibers = {}
-        for a, row in self.values.items():
-            f = frozenset(p for p, v in row.items() if v >= r)
-            if f:
-                fibers[a] = f
-        return ConditionalSet(fibers.keys(), fibers)
-
-    def level_below(self, r: Fraction) -> ConditionalSet:
-        fibers = {}
-        for a, row in self.values.items():
-            f = frozenset(p for p, v in row.items() if v < r)
-            if f:
-                fibers[a] = f
-        return ConditionalSet(fibers.keys(), fibers)
-
     def distinct_values(self) -> list[Fraction]:
         return sorted({v for row in self.values.values() for v in row.values()})
 

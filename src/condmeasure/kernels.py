@@ -10,7 +10,9 @@ the jumps of the distribution function (`classical.distribution_jumps`)
 is the oracle it is checked against.  Conditioning on a sub-algebra
 coarsens the atoms into blocks; conditional distributions then live
 over the quotient algebra and conditional expectations are integrals
-against them.
+against them.  Over the one-block grouping the conditional distribution
+is the plain law of the observation, which `classical.pushforward`
+computes as its oracle.
 """
 
 from __future__ import annotations
@@ -118,15 +120,6 @@ class SubAlgebra:
             for a in block:
                 self._label_of[a] = label
 
-    def label_of(self, atom: str) -> str:
-        return self._label_of[atom]
-
-    def is_coarser_than(self, other: "SubAlgebra") -> bool:
-        """Every block of self is a union of blocks of other."""
-        return all(
-            any(b <= c for c in self.blocks) for b in other.blocks
-        )
-
     def spread_to_atoms(self, g: Field) -> Field:
         """Copy a quotient-level field back onto the original atoms."""
         return Field(self.algebra, {a: g[self._label_of[a]] for a in self.algebra.atoms})
@@ -159,14 +152,6 @@ def conditional_expectation(sub: SubAlgebra, xi: PointFun, space: GroundSpace, f
     """
     dist = conditional_distribution(sub, xi, space)
     return integrate(Integrand.from_point_map(dist.domain, f), dist)
-
-
-def pushforward(algebra: MeasureAlgebra, xi: PointFun, space: GroundSpace) -> dict:
-    """The classical law of the observation: total weight per ground point."""
-    out = {p: Fraction(0) for p in space.points}
-    for a in algebra.atoms:
-        out[xi[a]] += algebra.weights[a]
-    return out
 
 
 def field_as_observation(h: Field) -> tuple[GroundSpace, dict]:

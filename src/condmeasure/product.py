@@ -52,12 +52,6 @@ def section_at(z: ConditionalSet, x: PointFun) -> ConditionalSet:
     return ConditionalSet(fibers.keys(), fibers)
 
 
-def integrand_section(f: Integrand, x: PointFun, sy: StableSigmaAlgebra) -> Integrand:
-    """Slice of a product integrand along a left point choice."""
-    values = {a: {q: f.values[a][(x[a], q)] for q in sy.space.points} for a in sy.algebra.atoms}
-    return Integrand(sy, values)
-
-
 def section_mass_integrand(z: ConditionalSet, nu: StableMeasure, sx: StableSigmaAlgebra) -> Integrand:
     """The function x -> mass of the x-section under the right measure."""
     if not nu.is_finite():
@@ -115,7 +109,8 @@ def fubini(f: Integrand, mu: StableMeasure, nu: StableMeasure) -> tuple[Field, F
     joint = integrate(f, product_measure(mu, nu))
     left_values: dict[str, dict] = {a: {} for a in sx.algebra.atoms}
     for p in sx.space.points:
-        inner = integrate(integrand_section(f, {a: p for a in sx.algebra.atoms}, sy), nu)
+        values = {a: {q: f.values[a][(p, q)] for q in sy.space.points} for a in sy.algebra.atoms}
+        inner = integrate(Integrand(sy, values), nu)
         for a in sx.algebra.atoms:
             left_values[a][p] = inner[a]
     left = integrate(Integrand(sx, left_values), mu)
@@ -157,9 +152,6 @@ class StableMarkovKernel:
         self.sy = sy
         self.rows = table
 
-    def row_mass(self, atom: str, p, ys: frozenset) -> Fraction:
-        return sum((self.rows[atom][p][q] for q in ys), Fraction(0))
-
 
 def markov_product(kernel: StableMarkovKernel, mu: StableMeasure) -> StableMeasure:
     """Joint law of source and transition: mu(bx) * K(p, by) on each rectangle.
@@ -172,7 +164,9 @@ def markov_product(kernel: StableMarkovKernel, mu: StableMeasure) -> StableMeasu
         raise ValueError("kernel left factor must match the measure domain")
     if not mu.is_finite():
         raise ValueError("joint construction needs a finite source")
-    return _rectangle_measure(mu, kernel.sy, lambda a, bx, by: kernel.row_mass(a, next(iter(bx)), by))
+    return _rectangle_measure(
+        mu, kernel.sy, lambda a, bx, by: sum((kernel.rows[a][next(iter(bx))][q] for q in by), Fraction(0))
+    )
 
 
 def hahn_positive_set(mu1: StableMeasure, mu2: StableMeasure) -> ConditionalSet:

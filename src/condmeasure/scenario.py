@@ -230,6 +230,13 @@ def _load_space(doc: dict, key: str) -> GroundSpace:
     raw = _get(doc, key, "", (list, dict), what="a point list or an object with 'points'")
     listed = raw if isinstance(raw, list) else _get(raw, "points", key, list)
     points = tuple(_point(p, key) for p in listed)
+    # tables and reports key points by `str`, so two points may not share a name
+    named: dict[str, object] = {}
+    for p in points:
+        name = str(p)
+        if name in named and named[name] != p:
+            raise ScenarioError(f"{key}: points {named[name]!r} and {p!r} share the name {name!r}")
+        named[name] = p
     coords = None
     if isinstance(raw, dict) and "coords" in raw:
         given = _by_point(_get(raw, "coords", key, dict), points, f"{key}.coords")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from itertools import product
 from operator import and_, or_
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from . import classical
 from .algebra import MeasureAlgebra
@@ -197,25 +197,6 @@ class StableSigmaAlgebra(_PerAtomFamily):
     def from_blocks(cls, cspace: CondSpace, blocks_per_atom: Mapping[str, Iterable[frozenset]]) -> "StableSigmaAlgebra":
         return cls(cspace, {a: SetRing(list(bs)) for a, bs in blocks_per_atom.items()})
 
-    @classmethod
-    def from_members(cls, cspace: CondSpace, members: Iterable[ConditionalSet]) -> "StableSigmaAlgebra":
-        """Recover the per-atom fields from an extensional member list.
-
-        Validates that the member list really is the full mix of its
-        per-atom fields, which is exactly the stable-closure property.
-        """
-        members = frozenset(members)
-        per_atom: dict[str, SetRing] = {}
-        for a in cspace.algebra.atoms:
-            fibers = {v.fibers[a] for v in members if a in v.support}
-            fibers.add(cspace.space.point_set)
-            fibers.add(frozenset())
-            per_atom[a] = SetRing.from_members(fibers)
-        out = cls(cspace, per_atom)
-        if out.member_count() != len(members) or not all(out.contains(v) for v in members):
-            raise ValueError("member list is not stably closed (not a product of per-atom fields)")
-        return out
-
     def blocks(self, atom: str) -> tuple:
         return self.per_atom[atom].blocks
 
@@ -373,17 +354,6 @@ def generate_dynkin(cspace: CondSpace, generator: Iterable[ConditionalSet]) -> f
     return _member_closure(cspace, generator, disjoint_unions=True)
 
 
-def pi_lambda_check(cspace: CondSpace, generator: Iterable[ConditionalSet]) -> bool:
-    """Generated sigma-algebra and generated Dynkin system coincide.
-
-    Guaranteed for stable generators closed under pairwise meets; may
-    genuinely fail otherwise.
-    """
-    gen = list(generator)
-    sigma_members = frozenset(generate_sigma(cspace, gen).members())
-    return sigma_members == generate_dynkin(cspace, gen)
-
-
 def fiberwise_sigma_oracle(cspace: CondSpace, generator: Iterable[ConditionalSet]) -> StableSigmaAlgebra:
     """Independent route: classical signature-partition field generation per atom."""
     e = cspace.space.point_set
@@ -402,10 +372,6 @@ class StableFunction:
 
     def __init__(self, maps: Mapping[str, Mapping[Point, Point]]):
         self.maps = {a: dict(m) for a, m in maps.items()}
-
-    @classmethod
-    def same_on_all_atoms(cls, atoms: Sequence[str], m: Mapping[Point, Point]) -> "StableFunction":
-        return cls({a: m for a in atoms})
 
     def __repr__(self) -> str:
         return f"StableFunction(atoms={sorted(self.maps)})"

@@ -536,7 +536,7 @@ def _case_kernel(draw: Draw, size: Size) -> None:
     assert outer_ce == direct, "tower property"
 
     # the conditional law over the trivial grouping is the plain law
-    law = kernels.pushforward(algebra, xi, cspace.space)
+    law = classical.pushforward(algebra.weights, xi, cspace.space.points)
     dist = kernels.conditional_distribution(coarse, xi, cspace.space)
     label = coarse.labels[0]
     for p in cspace.space.points:

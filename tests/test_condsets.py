@@ -131,7 +131,7 @@ class TestStability:
 class TestEnumeration:
     def test_count_matches_enumeration(self, trio):
         sets = list(trio.all_sets())
-        assert len(sets) == trio.count_sets() == (2 ** 3) ** 2
+        assert len(sets) == (2 ** 3) ** 2
         assert len(set(sets)) == len(sets)
         assert BOTTOM in sets and trio.top in sets
 
@@ -158,10 +158,6 @@ class TestEnumeration:
                 fibers = {a: f for a, f in (("a1", f1), ("a2", f2)) if f is not None}
                 want.append(ConditionalSet(fibers.keys(), fibers))
         assert list(trio.all_sets()) == want
-
-    def test_point_funs_cover_all_choices(self, trio):
-        funs = list(trio.point_funs())
-        assert len(funs) == 3 ** 2
 
 
 class TestProducts:

@@ -18,7 +18,7 @@ from condmeasure import (
     dyadic_approximation,
     elementary_integral,
     MeasureAlgebra,
-    cond_intersection,
+    ConditionalSet,
     indicator,
     integrate,
     integrate_via_dyadic,
@@ -53,6 +53,13 @@ class TestIntegrand:
         with pytest.raises(ValueError, match="cover every ground point"):
             Integrand(sigma, {a: {1: Fraction(0)} for a in ("a1", "a2")})
 
+    def test_equality_needs_the_same_sigma_and_values(self, setting, coin_space):
+        sigma, _, f = setting
+        assert f == Integrand(sigma, f.values)
+        assert f != f + Integrand.constant(sigma, Fraction(1))
+        coarse = StableSigmaAlgebra.trivial(coin_space)
+        assert Integrand.constant(coarse, Fraction(1)) != Integrand.constant(sigma, Fraction(1))
+
     def test_pointwise_operations(self, setting):
         sigma, _, f = setting
         g = Integrand.constant(sigma, Fraction(2))
@@ -78,10 +85,8 @@ class TestIntegrand:
         with pytest.raises(TypeError):
             r * "x"
 
-    def test_level_sets(self, setting, coin_space):
+    def test_distinct_values(self, setting):
         _, _, f = setting
-        assert f.level_at_least(Fraction(2)) == mk(coin_space, {"a1": {2}, "a2": {2}})
-        assert f.level_below(Fraction(2)) == mk(coin_space, {"a1": {1}, "a2": {1}})
         assert f.distinct_values() == [1, 2, 3]
 
     def test_evaluate_along_choice(self, setting):
@@ -211,7 +216,7 @@ class TestBlockSum:
             coin_sigma, {"a1": {1: INF, 2: Fraction(1)}, "a2": {1: INF, 2: INF}}
         )
         zero = Integrand.constant(coin_sigma, 0)
-        assert integrate(zero, heavy).is_zero()
+        assert integrate(zero, heavy) == Field.zero(coin_sigma.algebra)
         assert integrate(zero, heavy) == staircase_integral(zero, heavy)
 
     def test_signed_with_an_infinite_part_raises_as_the_staircase(self, coin_sigma):
@@ -269,16 +274,26 @@ class TestBlockSum:
             assert got == want, f"seed {seed}: {got!r} != {want!r}"
 
 
+def level_cell(f, lo, hi=None):
+    """The conditional set where lo <= f, and f < hi unless hi is None."""
+    fibers = {}
+    for a, row in f.values.items():
+        fiber = frozenset(p for p, v in row.items() if v >= lo and (hi is None or v < hi))
+        if fiber:
+            fibers[a] = fiber
+    return ConditionalSet(fibers.keys(), fibers)
+
+
 def level_set_dyadic(f, n):
     """The dyadic staircase by level sets: one cell per step, empty ones dropped."""
     algebra = f.sigma.algebra
     step = Fraction(1, 2**n)
     terms = []
     for k in range(n * 2**n):
-        cell = cond_intersection([f.level_at_least(k * step), f.level_below((k + 1) * step)])
+        cell = level_cell(f, k * step, (k + 1) * step)
         if not cell.is_bottom:
             terms.append((Field.constant(algebra, k * step), cell))
-    top_cell = f.level_at_least(Fraction(n))
+    top_cell = level_cell(f, Fraction(n))
     if not top_cell.is_bottom:
         terms.append((Field.constant(algebra, Fraction(n)), top_cell))
     return terms

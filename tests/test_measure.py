@@ -201,7 +201,7 @@ class TestStableMeasure:
         )
         got = mu.eval(mk(trio, {"a1": {1, 2}}))
         assert got.as_dict() == {"a1": Fraction(1, 2), "a2": 0}
-        assert mu.eval(BOTTOM).is_zero()
+        assert mu.eval(BOTTOM) == Field.zero(trio.algebra)
         assert mu.is_probability() and mu.is_finite()
 
     def test_eval_rejects_non_measurable(self, trio):
@@ -223,6 +223,13 @@ class TestStableMeasure:
         mu = StableMeasure(sig, {a: {frozenset({1, 2, 3}): Fraction(1)} for a in ("a1", "a2")})
         combo = mu.scale(Fraction(1, 2)).add(mu)
         assert combo.eval(trio.top).as_dict() == {"a1": Fraction(3, 2), "a2": Fraction(3, 2)}
+
+    def test_add_needs_one_domain(self, trio):
+        fine = StableMeasure.dirac(StableSigmaAlgebra.discrete(trio), {"a1": 1, "a2": 1})
+        coarse = StableMeasure.dirac(StableSigmaAlgebra.trivial(trio), {"a1": 1, "a2": 1})
+        for mu, nu in ((fine, coarse), (coarse, fine)):
+            with pytest.raises(ValueError, match="different domains"):
+                mu.add(nu)
 
     def test_axioms_hold_for_block_measures(self, trio):
         sig = StableSigmaAlgebra.discrete(trio)
@@ -371,7 +378,7 @@ class TestOuterMeasure:
         outer = OuterMeasure(premeasure)
         v = mk(trio, {"a1": {1}})
         assert outer.evaluate(v)["a1"] == Fraction(1, 2)
-        assert outer.evaluate(trio.bottom).is_zero()
+        assert outer.evaluate(BOTTOM) == Field.zero(trio.algebra)
 
     def test_cheapest_cover_wins(self, trio, premeasure):
         outer = OuterMeasure(premeasure)

@@ -8,6 +8,7 @@ from condmeasure import (
     CondSpace,
     ConditionalSet,
     GroundSpace,
+    INF,
     Integrand,
     MeasureAlgebra,
     StableMarkovKernel,
@@ -231,6 +232,13 @@ class TestHahn:
         _, mu, _ = pair_setting
         zero = mu.scale(Fraction(0))
         assert hahn_positive_set(mu, zero) == BOTTOM
+
+    def test_infinite_measures_are_rejected(self, pair_setting):
+        sigma, mu, _ = pair_setting
+        heavy = StableMeasure.from_point_masses(sigma, {a: {1: INF, 2: Fraction(1)} for a in ("a1", "a2")})
+        for pair in ((mu, heavy), (heavy, mu)):
+            with pytest.raises(ValueError, match="needs finite measures"):
+                hahn_positive_set(*pair)
 
 
 class TestRadonNikodym:

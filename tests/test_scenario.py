@@ -98,6 +98,16 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="not a block of the domain"):
             build_scenario(bad)
 
+    def test_two_points_may_not_share_a_name(self, doc):
+        doc["ground"] = [1, "1", 2]
+        with pytest.raises(ScenarioError, match="^ground: points 1 and '1' share the name '1'$"):
+            build_scenario(doc)
+        with open(SCENARIO_DIR / "fubini.json") as fh:
+            doc2 = json.load(fh)
+        doc2["ground2"] = [1, 2, "2"]
+        with pytest.raises(ScenarioError, match="^ground2: points 2 and '2' share the name '2'$"):
+            build_scenario(doc2)
+
     def test_queries_are_required(self, doc):
         doc["queries"] = []
         with pytest.raises(ScenarioError, match="nonempty 'queries' list"):

@@ -23,7 +23,6 @@ from condmeasure import (
     generate_sigma,
     is_stable_collection,
     is_stably_measurable,
-    pi_lambda_check,
 )
 from condmeasure.sigma import generate_sigma_extensional, mix_closure
 from condmeasure.verify import Draw, Size
@@ -94,14 +93,6 @@ class TestStableFamilies:
         assert disc.contains(mk(trio, {"a1": {2}}))
         assert not triv.contains(mk(trio, {"a1": {2}}))
 
-    def test_from_members_validates_product_structure(self, trio):
-        disc = StableSigmaAlgebra.discrete(trio)
-        rebuilt = StableSigmaAlgebra.from_members(trio, disc.members())
-        assert rebuilt == disc
-        partial = [v for v in disc.members() if v.support != {"a1"}]
-        with pytest.raises(ValueError):
-            StableSigmaAlgebra.from_members(trio, partial)
-
 
 class TestMixes:
     def test_members_in_product_order(self, trio):
@@ -161,13 +152,13 @@ class TestGeneration:
 
     def test_meet_closed_generator_passes_pi_lambda(self, trio):
         gen = [mk(trio, {"a1": {1}, "a2": {1, 2}})]
-        assert pi_lambda_check(trio, gen)
+        assert frozenset(generate_sigma(trio, gen).members()) == generate_dynkin(trio, gen)
 
     def test_non_meet_closed_generator_can_fail_pi_lambda(self, quad):
         # the two generating sets overlap in {1}, which neither contains alone:
         # the Dynkin closure stops at six members while the sigma-algebra is discrete
         gen = [mk(quad, {"a1": {1, 2}}), mk(quad, {"a1": {1, 3}})]
-        assert not pi_lambda_check(quad, gen)
+        assert frozenset(generate_sigma(quad, gen).members()) != generate_dynkin(quad, gen)
         assert len(generate_dynkin(quad, gen)) == 6
         assert generate_sigma(quad, gen).member_count() == 16
 
@@ -262,12 +253,12 @@ class TestMaskClosures:
 
 class TestMeasurability:
     def test_preimage_commutes_with_membership(self, trio):
-        f = StableFunction.same_on_all_atoms(("a1", "a2"), {1: 2, 2: 2, 3: 1})
+        f = StableFunction({a: {1: 2, 2: 2, 3: 1} for a in ("a1", "a2")})
         w = mk(trio, {"a1": {2}, "a2": {1}})
         assert cond_preimage(f, w) == mk(trio, {"a1": {1, 2}, "a2": {3}})
 
     def test_preimage_of_unreached_fiber_drops_atom(self, trio):
-        f = StableFunction.same_on_all_atoms(("a1", "a2"), {1: 1, 2: 1, 3: 1})
+        f = StableFunction({a: {1: 1, 2: 1, 3: 1} for a in ("a1", "a2")})
         w = mk(trio, {"a1": {2, 3}, "a2": {1}})
         assert cond_preimage(f, w) == mk(trio, {"a2": {1, 2, 3}})
 
@@ -275,8 +266,8 @@ class TestMeasurability:
         coarse = StableSigmaAlgebra.from_blocks(
             trio, {a: [frozenset({1, 2}), frozenset({3})] for a in ("a1", "a2")}
         )
-        keeps = StableFunction.same_on_all_atoms(("a1", "a2"), {1: 1, 2: 1, 3: 3})
-        splits = StableFunction.same_on_all_atoms(("a1", "a2"), {1: 1, 2: 3, 3: 3})
+        keeps = StableFunction({a: {1: 1, 2: 1, 3: 3} for a in ("a1", "a2")})
+        splits = StableFunction({a: {1: 1, 2: 3, 3: 3} for a in ("a1", "a2")})
         targets = list(StableSigmaAlgebra.discrete(trio).members())
         assert is_stably_measurable(keeps, coarse, targets)
         assert not is_stably_measurable(splits, coarse, targets)

@@ -106,14 +106,23 @@ class TestFaults:
         assert bindings(swap.replacement) == set()
 
     def test_intersection_fault_reaches_the_importing_modules(self):
-        from condmeasure import condsets, integral, measure, sigma
+        from condmeasure import BOTTOM, StableMeasure, StableSigmaAlgebra, condsets, integral, measure, uniqueness_check
 
+        # a meet-closed generator whose two sets have disjoint fibers at a1:
+        # the broken meet keeps a1 with the union, a set outside the generator
+        cspace = CondSpace(MeasureAlgebra.uniform(["a1", "a2"]), GroundSpace((1, 2, 3)))
+        gen = [cspace.top, cspace.make(["a1"], {"a1": {1}}), cspace.make(["a1"], {"a1": {2}}), BOTTOM]
+        mu = StableMeasure.dirac(StableSigmaAlgebra.discrete(cspace), {"a1": 1, "a2": 1})
         original = condsets.cond_intersection
+        assert uniqueness_check(mu, mu, gen)
         with inject_fault("intersection-empty-fiber"):
             broken = condsets.cond_intersection
             assert broken is not original
-            assert sigma.cond_intersection is measure.cond_intersection is integral.cond_intersection is broken
-        assert sigma.cond_intersection is measure.cond_intersection is integral.cond_intersection is original
+            assert measure.cond_intersection is integral.cond_intersection is broken
+            with pytest.raises(ValueError, match="not closed under pairwise meets"):
+                uniqueness_check(mu, mu, gen)
+        assert measure.cond_intersection is integral.cond_intersection is original
+        assert uniqueness_check(mu, mu, gen)
 
     def test_scaling_fault_reaches_left_scaling(self):
         from condmeasure import Field, Integrand, StableSigmaAlgebra
