@@ -39,10 +39,10 @@ def blocks_from_sets(universe: frozenset, sets: Iterable[frozenset]) -> frozense
 def distribution_jumps(coords: Mapping, point_mass: Mapping) -> dict:
     """Point masses read back as the jumps of the distribution function.
 
-    The cumulative mass is evaluated at rational grid points, the value
-    at each coordinate is the one-sided infimum over larger grid points,
-    and each point's mass is the jump there.  Returned in coordinate
-    order.
+    The cumulative mass is evaluated once at each rational grid point,
+    the value at each coordinate is the one-sided infimum over larger
+    grid points, and each point's mass is the jump there.  Returned in
+    coordinate order.
     """
     by_coord = sorted(coords, key=coords.__getitem__)
     coords_sorted = [coords[p] for p in by_coord]
@@ -54,11 +54,10 @@ def distribution_jumps(coords: Mapping, point_mass: Mapping) -> dict:
         grid.extend([lo, lo + gap / 2, lo + 3 * gap / 4])
     grid.extend([coords_sorted[-1], coords_sorted[-1] + 1])
 
-    def cumulative(q: Fraction) -> Fraction:
-        return sum((point_mass[p] for p in coords if coords[p] <= q), Fraction(0))
+    cumulative = [sum((point_mass[p] for p in coords if coords[p] <= q), Fraction(0)) for q in grid]
 
     def cdf(x: Fraction) -> Fraction:
-        return min(cumulative(q) for q in grid if q > x)
+        return min(f for q, f in zip(grid, cumulative) if q > x)
 
     jumps = {}
     prev = coords_sorted[0] - 1

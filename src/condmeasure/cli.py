@@ -32,6 +32,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 EXPLAIN_TOPICS: dict[str, str] = {
     "conditional-sets": """\
 A conditional set picks, for each atom of the measure algebra it lives
@@ -214,7 +224,7 @@ def _build_parser() -> _Parser:
 
     verify_p = sub.add_parser("verify", help="run the randomized self-check suites")
     verify_p.add_argument("--seed", type=int, default=None, help="base seed (default: CMS_SEED or 0)")
-    verify_p.add_argument("--cases", type=int, default=25, help="cases per suite (default 25)")
+    verify_p.add_argument("--cases", type=_positive_int, default=25, help="cases per suite (default 25)")
     verify_p.add_argument("--suite", action="append", choices=list(SUITES), help="run only this suite (repeatable)")
     verify_p.add_argument("--fault", choices=list(FAULTS), default=None, help="inject a known bug; the paired suite must catch it")
     verify_p.add_argument("--timings", action="store_true", help="print elapsed times to stderr")

@@ -16,10 +16,10 @@ through the trusted `ConditionalSet._of`, because those results are
 well-formed by construction: they drop every atom whose fiber comes out
 empty, and they keep only frozensets.
 
-`MaskCodec` encodes the sets of one space as tuples of per-atom point
-bitmasks, for the member-level loops that apply the lattice operations
-to many pairs: there each operation is one integer operation per atom,
-and a `ConditionalSet` is built only where a loop needs one.
+`MaskCodec` encodes each set of one space as one int, one field of
+point bits per atom, for the member-level loops that apply the lattice
+operations to many pairs: there each operation is one integer
+operation, and a `ConditionalSet` is built only where a loop needs one.
 """
 
 from __future__ import annotations
@@ -186,37 +186,50 @@ def cond_difference(w: ConditionalSet, v: ConditionalSet) -> ConditionalSet:
 
 
 class MaskCodec:
-    """The conditional sets of one space as tuples of per-atom point bitmasks.
+    """The conditional sets of one space, each as one int.
 
-    Point ``i`` of the ground space is bit ``i``.  A set becomes one mask
-    per atom of the algebra, in atom order, with ``0`` off its support,
-    so every lattice operation is one integer operation per atom: union
-    ``x | y``, meet ``x & y``, relative complement ``x & ~y`` and
-    complement ``full ^ x``; a set is bottom when all its masks are 0.
-    Decoding builds the set through the trusted `ConditionalSet._of`,
-    with one shared fiber per mask.
+    With ``n`` ground points, atom ``i`` of the algebra (in atom order)
+    owns bits ``i*n`` to ``i*n+n-1``, and point ``j`` of the ground space
+    is bit ``j`` of each atom's field; an atom off the support has its
+    field at 0.  Every lattice operation is then one integer operation:
+    union ``x | y``, meet ``x & y``, relative complement ``x & ~y`` and
+    complement ``top ^ x``; bottom is ``0``, and ``x & fields[i]`` is the
+    part of ``x`` at atom ``i``.  Decoding builds the set through the
+    trusted `ConditionalSet._of`, with one shared fiber per point mask.
     """
 
-    __slots__ = ("atoms", "full", "top", "_atom_set", "_bits", "_fibers")
+    __slots__ = ("atoms", "top", "fields", "_width", "_shifts", "_bits", "_fibers")
 
     def __init__(self, cspace: "CondSpace"):
         self.atoms = cspace.algebra.atoms
         points = cspace.space.points
-        self.full = (1 << len(points)) - 1
-        self.top = (self.full,) * len(self.atoms)
-        self._atom_set = frozenset(self.atoms)
-        self._bits = {p: 1 << i for i, p in enumerate(points)}
+        n = self._width = len(points)
+        self._shifts = {a: i * n for i, a in enumerate(self.atoms)}
+        self.fields = tuple(((1 << n) - 1) << shift for shift in self._shifts.values())
+        self.top = (1 << n * len(self.atoms)) - 1
+        self._bits = {p: 1 << j for j, p in enumerate(points)}
         self._fibers: dict[int, frozenset] = {}
 
-    def encode(self, v: ConditionalSet) -> tuple[int, ...]:
-        """The masks of ``v``; raises ValueError when it leaves the space."""
-        fibers = v.fibers
-        if not v.support <= self._atom_set:
+    def encode(self, v: ConditionalSet) -> int:
+        """The code of ``v``; raises ValueError when it leaves the space."""
+        shifts = self._shifts
+        if not v.support <= shifts.keys():
             raise ValueError(f"{v!r} is supported off the algebra's atoms")
-        return tuple(self._mask(fibers[a]) if a in fibers else 0 for a in self.atoms)
+        code = 0
+        for a, fiber in v.fibers.items():
+            code |= self._mask(fiber) << shifts[a]
+        return code
 
-    def decode(self, masks: tuple[int, ...]) -> ConditionalSet:
-        return ConditionalSet._of({a: self._fiber(m) for a, m in zip(self.atoms, masks) if m})
+    def decode(self, code: int) -> ConditionalSet:
+        n = self._width
+        full = (1 << n) - 1
+        fibers = {}
+        for a in self.atoms:
+            m = code & full
+            if m:
+                fibers[a] = self._fiber(m)
+            code >>= n
+        return ConditionalSet._of(fibers)
 
     def _mask(self, fiber: frozenset) -> int:
         try:

@@ -25,16 +25,16 @@ per atom is built at the end, and the `Field` through the trusted
 `Field._of`.  `Kernel.mass` and the member table of `OuterMeasure` use
 the same helper.
 
-`check_measure_axioms` runs its pair loop on per-atom point bitmasks
-(`condsets.MaskCodec`): the union, meet and difference of a pair are
-integer operations, and its value table is keyed by mask tuples, so a
-`ConditionalSet` is built only for a set the table has not seen.  Each
-value turns into scaled numerators: per atom, the value times the least
-common multiple of the denominators of that atom's finite block masses.
-Every sum of block masses is then an `int`, and a sum, difference or
-comparison of scaled values holds exactly when it holds for the values
-themselves, because the scale is positive; a value off that lattice
-stays an exact `Fraction`, and `INF` stays `INF`.
+`check_measure_axioms` runs its pair loop on one int per conditional
+set (`condsets.MaskCodec`): the union, meet and difference of a pair
+are each one integer operation, and its value table is keyed by the
+int code, so a `ConditionalSet` is built only for a set the table has
+not seen.  Each value turns into scaled numerators: per atom, the value
+times the least common multiple of the denominators of that atom's
+finite block masses.  Every sum of block masses is then an `int`, and a
+sum, difference or comparison of scaled values holds exactly when it
+holds for the values themselves, because the scale is positive; a value
+off that lattice stays an exact `Fraction`, and `INF` stays `INF`.
 """
 
 from __future__ import annotations
@@ -265,82 +265,101 @@ def check_measure_axioms(mu, *, cap: int = 200) -> AxiomReport:
     The pair loop treats ``eval`` as a function of its argument: each
     distinct set (member, union, meet or difference) is evaluated once
     and its value read from a table.  The table is keyed by the set's
-    per-atom point masks, and the loop forms unions (``|``), meets
-    (``&``) and differences (``hi & ~lo``) on the masks; ``lo`` lies
-    inside ``hi`` when their meet is ``lo``, and a pair is disjoint when
-    its meet is all zeros.  Only a mask tuple the table lacks is decoded
-    into a `ConditionalSet`, tested for membership in the domain and
-    evaluated.  Localization and the limit checks evaluate afresh, so an
-    evaluator that answers differently for the same set is still caught.
+    code, one int (`MaskCodec`), and the loop forms unions (``|``),
+    meets (``&``) and differences (``hi & ~lo``) on the codes; ``lo``
+    lies inside ``hi`` when their meet is ``lo``, and a pair is disjoint
+    when its meet is 0.  Only a code the table lacks is decoded into a
+    `ConditionalSet`, tested for membership in the domain and evaluated.
+    The continuity chains build their sets with `cond_union` and
+    `cond_intersection` and read their values from the same table.
+    Localization and the limit checks evaluate afresh, so an evaluator
+    that answers differently for the same set is still caught.
 
     The pair loop compares scaled numerators, not `Field`s of
     `Fraction`s.  Each atom's scale is the least common multiple of the
     denominators of its finite block masses, so every value on the
     block-mass lattice scales to an `int`, and sums, differences and
-    comparisons run on integers.  A value off that lattice (only a
-    broken evaluator returns one) scales to an exact `Fraction`, so the
+    comparisons run on integers: a pair whose values are all `int`s adds
+    them with plain ``+``.  A value off that lattice (only a broken
+    evaluator returns one) scales to an exact `Fraction`, and `INF`
+    stays `INF`; a pair that holds either adds with `ext_add`, so the
     comparisons stay exact either way.
     """
     algebra = mu.domain.algebra
+    atoms = algebra.atoms
     members = sample_members(mu.domain, cap)
     codec = MaskCodec(mu.domain.cspace)
     scale = tuple(
-        math.lcm(*(m.denominator for m in mu.block_mass[a].values() if m is not INF)) for a in algebra.atoms
+        math.lcm(*(m.denominator for m in mu.block_mass[a].values() if m is not INF)) for a in atoms
     )
-    table: dict[tuple[int, ...], tuple | None] = {}
+    table: dict[int, tuple | None] = {}
+    # the codes whose scaled value holds INF or a Fraction
+    extended: set[int] = set()
 
-    def value(masks: tuple[int, ...]) -> tuple | None:
-        """The scaled mass of the set ``masks`` encodes, or None when the
+    def record(code: int, field: Field) -> tuple:
+        out = table[code] = _scaled(field, scale)
+        if not all(type(x) is int for x in out):
+            extended.add(code)
+        return out
+
+    def value(code: int) -> tuple | None:
+        """The scaled mass of the set ``code`` encodes, or None when the
         domain cannot measure it."""
         try:
-            return table[masks]
+            return table[code]
         except KeyError:
-            v = codec.decode(masks)
-            out = table[masks] = _scaled(mu.eval(v), scale) if mu.domain.contains(v) else None
-            return out
+            v = codec.decode(code)
+            if not mu.domain.contains(v):
+                table[code] = None
+                return None
+            return record(code, mu.eval(v))
 
     def fail(axiom: str, witness: str) -> AxiomReport:
         return AxiomReport(False, axiom, witness)
 
-    events: list[Event] = [frozenset((a,)) for a in algebra.atoms]
-    events.append(frozenset(algebra.atoms))
+    events: list[Event] = [frozenset((a,)) for a in atoms]
+    events.append(frozenset(atoms))
     codes = []
     for v in members:
         mv = mu.eval(v)
         code = codec.encode(v)
         codes.append(code)
-        table[code] = _scaled(mv, scale)
+        record(code, mv)
         for ev in events:
-            if mu.eval(v.restrict(ev)) != mv.restrict(ev):
+            expected = Field._of(algebra, tuple(x if a in ev else _ZERO for a, x in zip(atoms, mv._values)))
+            if mu.eval(v.restrict(ev)) != expected:
                 return fail("localization", f"{v!r} restricted to {sorted(ev)}")
-        if any(mv[a] != 0 for a in algebra.atoms if a not in v.support):
+        if any(mv[a] != 0 for a in atoms if a not in v.support):
             return fail("localization", f"{v!r} carries mass off its support")
 
-    and_, or_ = operator.and_, operator.or_
+    add, sub, le = operator.add, operator.sub, operator.le
     for k, (v, cv) in enumerate(zip(members, codes)):
         mv = table[cv]
         for w, cw in zip(members[k:], codes[k:]):
             mw = table[cw]
-            meet = tuple(map(and_, cv, cw))
-            mu_u, mu_i = value(tuple(map(or_, cv, cw))), value(meet)
+            meet, union = cv & cw, cv | cw
+            mu_u, mu_i = value(union), value(meet)
             if mu_u is None or mu_i is None:
                 continue
-            total = tuple(map(ext_add, mv, mw))
-            if not any(meet) and mu_u != total:
+            exact = not extended or extended.isdisjoint((cv, cw, union, meet))
+            plus = add if exact else ext_add
+            total = tuple(map(plus, mv, mw))
+            if not meet and mu_u != total:
                 return fail("additivity", f"{v!r} and {w!r}")
-            if tuple(map(ext_add, mu_u, mu_i)) != total:
+            if tuple(map(plus, mu_u, mu_i)) != total:
                 return fail("modularity", f"{v!r} and {w!r}")
-            if not all(map(operator.le, mu_u, total)):
+            if not all(map(le, mu_u, total)):
                 return fail("subadditivity", f"{v!r} and {w!r}")
             for lo, hi, clo, chi, mlo, mhi in ((v, w, cv, cw, mv, mw), (w, v, cw, cv, mw, mv)):
                 if meet == clo:
-                    if not all(map(operator.le, mlo, mhi)):
+                    if not all(map(le, mlo, mhi)):
                         return fail("monotonicity", f"{lo!r} inside {hi!r}")
-                    mdiff = value(tuple(x & ~y for x, y in zip(chi, clo)))
-                    if mdiff is not None:
-                        for a, d, x, y in zip(algebra.atoms, mdiff, mhi, mlo):
-                            if y is not INF and d != ext_sub(x, y):
-                                return fail("subtraction", f"{hi!r} minus {lo!r} at atom {a}")
+                    mdiff = value(chi & ~clo)
+                    if mdiff is None or (exact and tuple(map(sub, mhi, mlo)) == mdiff):
+                        continue
+                    for a, d, x, y in zip(atoms, mdiff, mhi, mlo):
+                        if y is not INF and d != ext_sub(x, y):
+                            return fail("subtraction", f"{hi!r} minus {lo!r} at atom {a}")
 
     rng = random.Random(1)
     for _ in range(min(20, len(members))):
@@ -350,27 +369,27 @@ def check_measure_axioms(mu, *, cap: int = 200) -> AxiomReport:
         for v in chain_members[1:]:
             acc = cond_union([acc, v])
             chain.append(acc)
-        if not all(mu.domain.contains(c) for c in chain):
+        values = [value(codec.encode(c)) for c in chain]
+        if None in values:
             continue
-        values = [mu.eval(c) for c in chain]
         for lo, hi in zip(values, values[1:]):
-            if not lo.le(hi):
+            if not all(map(le, lo, hi)):
                 return fail("continuity-below", f"chain {chain!r} is not monotone in mass")
-        if values[-1] != mu.eval(chain[-1]):
+        if values[-1] != _scaled(mu.eval(chain[-1]), scale):
             return fail("continuity-below", f"chain {chain!r} misses its limit")
         dec = chain_members[0]
         dchain = [dec]
         for v in chain_members[1:]:
             dec = cond_intersection([dec, v])
             dchain.append(dec)
-        if not all(mu.domain.contains(c) for c in dchain):
+        dvalues = [value(codec.encode(c)) for c in dchain]
+        if None in dvalues:
             continue
-        dvalues = [mu.eval(c) for c in dchain]
-        if dvalues[0].is_finite():
+        if INF not in dvalues[0]:
             for hi, lo in zip(dvalues, dvalues[1:]):
-                if not lo.le(hi):
+                if not all(map(le, lo, hi)):
                     return fail("continuity-above", f"chain {dchain!r} is not monotone in mass")
-            if dvalues[-1] != mu.eval(dchain[-1]):
+            if dvalues[-1] != _scaled(mu.eval(dchain[-1]), scale):
                 return fail("continuity-above", f"chain {dchain!r} misses its limit")
     return AxiomReport(True)
 

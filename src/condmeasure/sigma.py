@@ -9,17 +9,16 @@ least-fixpoint closure; an independent fiberwise route recomputes it
 through classical signature partitions for cross-checking.
 
 The member-level closure (`generate_dynkin`,
-`generate_sigma_extensional`) and `classify` work on per-atom point
-bitmasks (`condsets.MaskCodec`), where complement, union, difference
-and disjointness are integer operations per atom and the concatenations
-of a family are the product of its per-atom masks.
+`generate_sigma_extensional`) and `classify` work on one int per
+conditional set (`condsets.MaskCodec`), where complement, union,
+difference and disjointness are single integer operations and the
+concatenations of a family are the product of its per-atom fields.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product
-from operator import and_, or_
 from typing import Iterable, Iterator, Mapping
 
 from . import classical
@@ -218,10 +217,10 @@ def mix_closure(cspace: CondSpace, members: Iterable[ConditionalSet]) -> frozens
 
 
 def _stable_codes(cspace: CondSpace, members: Iterable[ConditionalSet]) -> tuple[MaskCodec, set] | None:
-    """The mask tuples of a nonempty stable collection, or None.
+    """The codes of a nonempty stable collection, or None.
 
     A collection always lies inside its concatenations, the product of
-    its per-atom masks, so it is stable exactly when it is as large as
+    its per-atom fields, so it is stable exactly when it is as large as
     that product."""
     ms = frozenset(members)
     if not ms:
@@ -230,7 +229,7 @@ def _stable_codes(cspace: CondSpace, members: Iterable[ConditionalSet]) -> tuple
         raise ValueError("members outside the conditional power set")
     codec = MaskCodec(cspace)
     codes = {codec.encode(v) for v in ms}
-    if math.prod(len(set(column)) for column in zip(*codes)) != len(codes):
+    if math.prod(len({c & f for c in codes}) for f in codec.fields) != len(codes):
         return None
     return codec, codes
 
@@ -243,27 +242,22 @@ def is_stable_collection(cspace: CondSpace, members: Iterable[ConditionalSet]) -
 def classify(cspace: CondSpace, members: Iterable[ConditionalSet]) -> str:
     """Strongest applicable label: 'sigma', 'dynkin', 'ring' or 'none'.
 
-    Decided on per-atom point masks (`MaskCodec`), as in `_member_closure`."""
+    Decided on one int per set (`MaskCodec`), as in `_member_closure`."""
     stable = _stable_codes(cspace, members)
     if stable is None:
         return "none"
     codec, codes = stable
-    full = codec.full
+    top = codec.top
     listed = list(codes)
-    has_top = codec.top in codes
-    complements = all(tuple(full ^ x for x in m) in codes for m in listed)
-    all_unions = all(tuple(map(or_, m, k)) in codes for m in listed for k in listed)
+    has_top = top in codes
+    complements = all((top ^ m) in codes for m in listed)
+    all_unions = all((m | k) in codes for m in listed for k in listed)
     if has_top and complements and all_unions:
         return "sigma"
-    disjoint_unions = all(
-        tuple(map(or_, m, k)) in codes
-        for m in listed
-        for k in listed
-        if not any(map(and_, m, k))
-    )
+    disjoint_unions = all((m | k) in codes for m in listed for k in listed if not m & k)
     if has_top and complements and disjoint_unions:
         return "dynkin"
-    relative = all(tuple(x & ~y for x, y in zip(m, k)) in codes for m in listed for k in listed)
+    relative = all((m & ~k) in codes for m in listed for k in listed)
     if relative and all_unions:
         return "ring"
     return "none"
@@ -272,29 +266,29 @@ def classify(cspace: CondSpace, members: Iterable[ConditionalSet]) -> str:
 def _member_closure(cspace: CondSpace, seeds: Iterable[ConditionalSet], *, disjoint_unions: bool) -> frozenset:
     """Least fixpoint of complement, (disjoint) pairwise union and concatenation.
 
-    Runs on per-atom point masks (`MaskCodec`): the complement of a set
-    is ``full ^ x`` per atom, a union is ``x | y``, two sets are disjoint
-    when no atom's masks overlap, and the concatenations of a family are
-    the product of its per-atom masks.  The conditional sets are built
-    once, from the fixpoint.
+    Runs on one int per set (`MaskCodec`): the complement of a set is
+    ``top ^ x``, a union is ``x | y``, two sets are disjoint when
+    ``x & y`` is 0, and the concatenations of a family are the sums of
+    one part per atom field, ``c & f`` over its members ``c``.  The
+    conditional sets are built once, from the fixpoint.
     """
     codec = MaskCodec(cspace)
-    full = codec.full
+    top, fields = codec.top, codec.fields
     family = {codec.encode(v) for v in seeds}
-    family.add(codec.top)
+    family.add(top)
     fresh = list(family)
     while fresh:
-        additions: set[tuple[int, ...]] = set()
+        additions: set[int] = set()
         snapshot = list(family)
         for m in fresh:
-            additions.add(tuple(full ^ x for x in m))
+            additions.add(top ^ m)
             for k in snapshot:
-                if disjoint_unions and any(map(and_, m, k)):
+                if disjoint_unions and m & k:
                     continue
-                additions.add(tuple(map(or_, m, k)))
+                additions.add(m | k)
         additions -= family
         family |= additions
-        for m in product(*map(set, zip(*family))):
+        for m in map(sum, product(*({c & f for c in family} for f in fields))):
             if m not in family:
                 additions.add(m)
                 family.add(m)

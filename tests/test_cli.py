@@ -180,6 +180,17 @@ class TestVerify:
         assert cli.main(["verify", "--suite", "no-such-suite"]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cases", ["0", "-3", "two"])
+    def test_cases_must_be_a_positive_integer(self, cases, capsys):
+        assert cli.main(["verify", "--cases", cases, "--suite", "rn"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "usage error" in out.err and "--cases" in out.err
+
+    def test_zero_cases_cannot_pass_an_injected_fault(self, capsys):
+        assert cli.main(["verify", "--fault", "measure-eval-max", "--cases", "0"]) == 1
+        assert "--cases" in capsys.readouterr().err
+
 
 class TestExplain:
     def test_lists_topics(self, capsys):

@@ -17,7 +17,7 @@ from condmeasure import (
     membership_event,
     product_space,
 )
-from condmeasure.condsets import _mixes
+from condmeasure.condsets import MaskCodec, _mixes
 from condmeasure.verify import Draw, Size
 
 
@@ -158,6 +158,34 @@ class TestEnumeration:
                 fibers = {a: f for a, f in (("a1", f1), ("a2", f2)) if f is not None}
                 want.append(ConditionalSet(fibers.keys(), fibers))
         assert list(trio.all_sets()) == want
+
+
+class TestMaskCodec:
+    @pytest.mark.parametrize("n_atoms, n_points", [(2, 3), (3, 2)])
+    def test_codes_follow_the_lattice(self, n_atoms, n_points):
+        cspace = CondSpace(MeasureAlgebra.uniform([f"a{i}" for i in range(n_atoms)]), GroundSpace(tuple(range(n_points))))
+        codec = MaskCodec(cspace)
+        sets = list(cspace.all_sets())
+        codes = [codec.encode(v) for v in sets]
+        assert codec.encode(BOTTOM) == 0
+        assert codec.encode(cspace.top) == codec.top
+        assert len(set(codes)) == len(sets)
+        for v, x in zip(sets, codes):
+            assert codec.decode(x) == v
+            assert codec.encode(cspace.complement(v)) == codec.top ^ x
+            for a, field in zip(cspace.algebra.atoms, codec.fields):
+                assert x & field == codec.encode(v.restrict(frozenset((a,))))
+            for w, y in zip(sets, codes):
+                assert codec.encode(cond_union([v, w])) == x | y
+                assert codec.encode(cond_intersection([v, w])) == x & y
+                assert codec.encode(cond_difference(v, w)) == x & ~y
+
+    def test_encode_rejects_sets_off_the_space(self, trio):
+        codec = MaskCodec(trio)
+        with pytest.raises(ValueError, match="off the algebra"):
+            codec.encode(ConditionalSet(("a9",), {"a9": frozenset({1})}))
+        with pytest.raises(ValueError, match="outside the ground space"):
+            codec.encode(ConditionalSet(("a1",), {"a1": frozenset({1, 4})}))
 
 
 class TestProducts:

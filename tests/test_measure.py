@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -25,10 +26,11 @@ from condmeasure import (
     is_caratheodory_measurable,
     uniqueness_check,
 )
+from condmeasure import condsets
 from condmeasure.algebra import ext_add, ext_sub, ext_sum
 from condmeasure.measure import sample_members
 from condmeasure.sigma import SetRing, mix_closure
-from condmeasure.verify import Draw, Size, inject_fault
+from condmeasure.verify import FAULTS, Draw, Size, inject_fault
 
 #: Block masses drawn by the seeded tests: zero, finite positive, infinite.
 MASSES = (Fraction(0), Fraction(1, 3), Fraction(2), INF)
@@ -116,11 +118,14 @@ class LowersTwoPointFibers(ShiftsTwoPointFibers):
     shift = Fraction(-1, 7)
 
 
-def field_pair_checks(mu, members):
-    """The pair checks of `check_measure_axioms` on `Field` arithmetic.
+def field_pair_checks(mu, members, chain_meet=cond_intersection):
+    """The pair and chain checks of `check_measure_axioms` on `Field`
+    arithmetic.
 
-    One evaluation per distinct set; returns the first failing axiom and
-    its witness, or None.
+    The pair checks make one evaluation per distinct set; the chains,
+    drawn as the checker draws them, evaluate every set afresh, and the
+    decreasing ones are built with ``chain_meet``.  Returns the first
+    failing axiom and its witness, or None.
     """
     seen = {}
 
@@ -153,6 +158,21 @@ def field_pair_checks(mu, members):
                 for a in mu.algebra.atoms:
                     if value(lo)[a] is not INF and diff[a] != ext_sub(value(hi)[a], value(lo)[a]):
                         return "subtraction", f"{hi!r} minus {lo!r} at atom {a}"
+    rng = random.Random(1)
+    for _ in range(min(20, len(members))):
+        picks = rng.sample(members, min(len(members), 4))
+        for axiom, step in (("continuity-below", cond_union), ("continuity-above", chain_meet)):
+            chain = list(accumulate(picks, lambda acc, v: step([acc, v])))
+            if not all(mu.domain.contains(c) for c in chain):
+                break
+            values = [mu.eval(c) for c in chain]
+            if axiom == "continuity-above" and not values[0].is_finite():
+                break
+            pairs = zip(values, values[1:]) if axiom == "continuity-below" else zip(values[1:], values)
+            if not all(lo.le(hi) for lo, hi in pairs):
+                return axiom, f"chain {chain!r} is not monotone in mass"
+            if values[-1] != mu.eval(chain[-1]):
+                return axiom, f"chain {chain!r} misses its limit"
     return None
 
 
@@ -332,21 +352,18 @@ class TestStableMeasure:
                         for v in members
                         for w in members
                     )
-                for kind in ("genuine", "measure-eval-max", "off-lattice"):
+                for kind in ("genuine", "measure-eval-max", "off-lattice", "intersection-empty-fiber"):
                     checked = ShiftsTwoPointFibers(sig, mu.block_mass) if kind == "off-lattice" else mu
-                    with inject_fault("measure-eval-max" if kind == "measure-eval-max" else None):
+                    with inject_fault(kind if kind in FAULTS else None):
                         report = check_measure_axioms(checked, cap=cap)
-                        want = field_pair_checks(checked, members)
-                    if want is None:
-                        # the pair checks pass; only the continuity chains remain
-                        assert report.ok or report.axiom.startswith("continuity"), (seed, cap, kind, report)
-                    else:
-                        assert (report.axiom, report.witness) == want, (seed, cap, kind)
+                        # under the fault the checker builds its decreasing chains with the broken meet
+                        want = field_pair_checks(checked, members, chain_meet=condsets.cond_intersection)
+                    assert (report.axiom, report.witness) == (want or (None, None)), (seed, cap, kind)
                     seen.add((kind, want and want[0]))
         assert missed_with_inf > 0
         assert {("genuine", None), ("measure-eval-max", None), ("measure-eval-max", "additivity"),
                 ("measure-eval-max", "subtraction"), ("off-lattice", "additivity"),
-                ("off-lattice", "subtraction")} <= seen, seen
+                ("off-lattice", "subtraction"), ("intersection-empty-fiber", "continuity-above")} <= seen, seen
 
     def test_sample_members_is_deterministic(self, trio):
         sig = StableSigmaAlgebra.discrete(trio)
