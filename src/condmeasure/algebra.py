@@ -16,6 +16,7 @@ values as a tuple already in atom order.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Mapping, Sequence
 
 
@@ -95,17 +96,36 @@ def ext_mul(a: ExtValue, b: ExtValue) -> ExtValue:
 
 
 def ext_sum(values: Iterable[ExtValue]) -> ExtValue:
-    total: ExtValue = Fraction(0)
+    """The extended sum of rationals (or ints) and INF: one `Fraction`, or INF.
+
+    Sums integer numerators over the running least common denominator.
+    A term whose denominator divides it is scaled up by one division;
+    any other denominator costs one gcd, and the numerator so far is
+    rescaled to the new common multiple.  An INF flag absorbs every
+    finite term; otherwise one `Fraction` is built at the end.
+    """
+    num, den, inf = 0, 1, False
     for v in values:
-        total = ext_add(total, v)
-    return total
+        if v is INF:
+            inf = True
+            continue
+        d = v.denominator
+        if d == den:
+            num += v.numerator
+        elif not den % d:
+            num += v.numerator * (den // d)
+        else:
+            g = gcd(den, d)
+            num = num * (d // g) + v.numerator * (den // g)
+            den = den // g * d
+    return INF if inf else Fraction(num, den)
 
 
 def format_value(v: ExtValue) -> str:
     """Render a value the way scenario files spell it: 'p/q' or 'inf'."""
     if v is INF:
         return "inf"
-    f = Fraction(v)
+    f = v if isinstance(v, Fraction) else Fraction(v)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"

@@ -101,9 +101,14 @@ def integral(point_masses: Mapping, g: Mapping) -> ExtValue:
     Positive and negative parts are summed separately; a signed
     integrand with an infinite part raises, mirroring non-integrability.
     """
-    pos = ext_sum(ext_mul(Fraction(g[p]), point_masses[p]) for p in g if g[p] > 0)
-    neg = ext_sum(ext_mul(-Fraction(g[p]), point_masses[p]) for p in g if g[p] < 0)
-    return ext_sub(pos, neg)
+    pos, neg = [], []
+    for p, x in g.items():
+        x = Fraction(x)
+        if x > 0:
+            pos.append(ext_mul(x, point_masses[p]))
+        elif x < 0:
+            neg.append(ext_mul(-x, point_masses[p]))
+    return ext_sub(ext_sum(pos), ext_sum(neg))
 
 
 def product_point_masses(mx: Mapping, my: Mapping) -> dict:

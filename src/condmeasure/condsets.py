@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -63,9 +64,15 @@ class GroundSpace:
     def point_set(self) -> frozenset:
         return frozenset(self.points)
 
+    @cached_property
+    def _order(self) -> dict:
+        # built once per space; a cached attribute, not a field, so it
+        # takes no part in equality or hashing
+        return {p: i for i, p in enumerate(self.points)}
+
     def sort_key(self):
-        order = {p: i for i, p in enumerate(self.points)}
-        return lambda p: order[p]
+        """Key function ordering points as in ``points``."""
+        return self._order.__getitem__
 
 
 class ConditionalSet:

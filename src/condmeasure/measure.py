@@ -23,7 +23,10 @@ fiber point outside every block, makes the set unmeasurable.  The sum
 runs on integer numerators over a common denominator, one `Fraction`
 per atom is built at the end, and the `Field` through the trusted
 `Field._of`.  `Kernel.mass` and the member table of `OuterMeasure` use
-the same helper.
+the same helper.  `StableMeasure.total`, `from_point_masses` and the
+cover sums of `OuterMeasure.evaluate` go through `algebra.ext_sum`,
+which also sums on integers: numerators over a running least common
+denominator, one `Fraction` at the end.
 
 `check_measure_axioms` runs its pair loop on one int per conditional
 set (`condsets.MaskCodec`): the union, meet and difference of a pair

@@ -75,17 +75,24 @@ def _rectangle_measure(
     sy: StableSigmaAlgebra,
     right_mass: Callable[[str, frozenset, frozenset], Fraction],
 ) -> StableMeasure:
-    """Mass mu(bx) * right_mass(a, bx, by) on each rectangle block bx x by, per atom."""
+    """Mass mu(bx) * right_mass(a, bx, by) on each rectangle block bx x by, per atom.
+
+    Each block of `product_sigma` is read as its pair (bx, by) off one of
+    its points, through point-to-block maps of the two factors, so no
+    rectangle is built a second time.
+    """
     sx = mu.domain
     psigma = product_sigma(sx, sy)
     table: dict[str, dict[frozenset, Fraction]] = {}
     for a in psigma.algebra.atoms:
-        mass = {
-            frozenset((p, q) for p in bx for q in by): ext_mul(mu.block_mass[a][bx], right_mass(a, bx, by))
-            for bx in sx.blocks(a)
-            for by in sy.blocks(a)
-        }
-        table[a] = {b: mass[b] for b in psigma.blocks(a)}
+        left = {p: bx for bx in sx.blocks(a) for p in bx}
+        right = {q: by for by in sy.blocks(a) for q in by}
+        masses = mu.block_mass[a]
+        row = table[a] = {}
+        for b in psigma.blocks(a):
+            p, q = next(iter(b))
+            bx, by = left[p], right[q]
+            row[b] = ext_mul(masses[bx], right_mass(a, bx, by))
     return StableMeasure(psigma, table)
 
 
@@ -104,23 +111,35 @@ def product_measure(mu: StableMeasure, nu: StableMeasure) -> StableMeasure:
 
 
 def fubini(f: Integrand, mu: StableMeasure, nu: StableMeasure) -> tuple[Field, Field, Field]:
-    """Iterated-left, iterated-right and joint integrals of a product integrand."""
+    """Iterated-left, iterated-right and joint integrals of a product integrand.
+
+    The joint integral runs first and validates f; the section and
+    iterated integrands are then built with the trusted `Integrand._of`,
+    and every integral sums on integer numerators (`integrate`).
+    """
     sx, sy = mu.domain, nu.domain
     joint = integrate(f, product_measure(mu, nu))
-    left_values: dict[str, dict] = {a: {} for a in sx.algebra.atoms}
+    # The joint integral has proved that f covers every pair (p, q) and is
+    # constant on every rectangle bx x by.  So each section f(p, .) is
+    # constant on each by, and p -> integral of f(p, .) d nu is constant on
+    # each bx, because the points of one bx have equal sections; the same
+    # holds with the factors swapped.  Every integrand below is therefore
+    # measurable, and holds exact rationals: the factors are finite.
+    atoms, rows = sx.algebra.atoms, f.values
+    left_values: dict[str, dict] = {a: {} for a in atoms}
     for p in sx.space.points:
-        values = {a: {q: f.values[a][(p, q)] for q in sy.space.points} for a in sy.algebra.atoms}
-        inner = integrate(Integrand(sy, values), nu)
-        for a in sx.algebra.atoms:
+        section = {a: {q: rows[a][(p, q)] for q in sy.space.points} for a in atoms}
+        inner = integrate(Integrand._of(sy, section), nu)
+        for a in atoms:
             left_values[a][p] = inner[a]
-    left = integrate(Integrand(sx, left_values), mu)
-    right_values: dict[str, dict] = {a: {} for a in sy.algebra.atoms}
+    left = integrate(Integrand._of(sx, left_values), mu)
+    right_values: dict[str, dict] = {a: {} for a in atoms}
     for q in sy.space.points:
-        values = {a: {p: f.values[a][(p, q)] for p in sx.space.points} for a in sx.algebra.atoms}
-        inner = integrate(Integrand(sx, values), mu)
-        for a in sy.algebra.atoms:
+        section = {a: {p: rows[a][(p, q)] for p in sx.space.points} for a in atoms}
+        inner = integrate(Integrand._of(sx, section), mu)
+        for a in atoms:
             right_values[a][q] = inner[a]
-    right = integrate(Integrand(sy, right_values), nu)
+    right = integrate(Integrand._of(sy, right_values), nu)
     return left, right, joint
 
 
@@ -165,7 +184,7 @@ def markov_product(kernel: StableMarkovKernel, mu: StableMeasure) -> StableMeasu
     if not mu.is_finite():
         raise ValueError("joint construction needs a finite source")
     return _rectangle_measure(
-        mu, kernel.sy, lambda a, bx, by: sum((kernel.rows[a][next(iter(bx))][q] for q in by), Fraction(0))
+        mu, kernel.sy, lambda a, bx, by: ext_sum(kernel.rows[a][next(iter(bx))][q] for q in by)
     )
 
 

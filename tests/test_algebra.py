@@ -1,3 +1,6 @@
+import functools
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -46,6 +49,37 @@ class TestExtendedValues:
         assert format_value(INF) == "inf"
         with pytest.raises(ValueError):
             parse_value("one half")
+
+
+def left_fold(xs):
+    return functools.reduce(ext_add, xs, Fraction(0))
+
+
+def assert_sums_like_the_fold(xs, got):
+    want = left_fold(xs)
+    if want is INF:
+        assert got is INF, xs
+    else:
+        assert type(got) is Fraction and got == want, xs
+
+
+class TestExtSum:
+    """`ext_sum` sums on integers; the `ext_add` left fold is the reference."""
+
+    TERMS = (Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(2), Fraction(5, 6), Fraction(7, 12), INF)
+
+    @pytest.mark.parametrize("terms", [TERMS, (0, *TERMS[1:3], 2, *TERMS[4:])], ids=["fractions", "ints"])
+    def test_every_short_sequence(self, terms):
+        for n in range(5):
+            for xs in itertools.product(terms, repeat=n):
+                assert_sums_like_the_fold(xs, ext_sum(xs))
+                assert_sums_like_the_fold(xs, ext_sum(x for x in xs))
+
+    def test_a_long_sum_over_many_denominators(self):
+        rng = random.Random(12)
+        xs = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(4000)]
+        assert_sums_like_the_fold(xs, ext_sum(xs))
+        assert_sums_like_the_fold(xs + [INF], ext_sum(iter(xs + [INF])))
 
 
 class TestMeasureAlgebra:

@@ -36,6 +36,19 @@ class TestGroundSpace:
         with pytest.raises(ValueError):
             GroundSpace((1, 1, 2))
 
+    def test_sort_key_orders_as_points(self):
+        points = ("b", 3, (1, "x"), "a", 0)
+        space = GroundSpace(points)
+        shuffled = list(points)
+        random.Random(5).shuffle(shuffled)
+        assert tuple(sorted(shuffled, key=space.sort_key())) == points
+        assert tuple(sorted(reversed(points), key=space.sort_key())) == points
+        twin = GroundSpace(points)
+        space.sort_key()
+        assert space == twin and hash(space) == hash(twin)
+        assert space != GroundSpace(tuple(reversed(points)))
+        assert {space: 1}[twin] == 1
+
     def test_coords_must_be_injective(self):
         with pytest.raises(ValueError):
             GroundSpace((1, 2), {1: Fraction(0), 2: Fraction(0)})

@@ -218,6 +218,84 @@ class TestRectangleMass:
             assert joint.block_mass == want.block_mass, f"seed {seed}"
 
 
+def validated_fubini(f, mu, nu):
+    """The Fubini triple with every section and iterated integrand built
+    by the validating `Integrand(...)`, after the joint integral."""
+    sx, sy = mu.domain, nu.domain
+    joint = integrate(f, product_measure(mu, nu))
+    left_values = {a: {} for a in sx.algebra.atoms}
+    for p in sx.space.points:
+        values = {a: {q: f.values[a][(p, q)] for q in sy.space.points} for a in sy.algebra.atoms}
+        inner = integrate(Integrand(sy, values), nu)
+        for a in sx.algebra.atoms:
+            left_values[a][p] = inner[a]
+    left = integrate(Integrand(sx, left_values), mu)
+    right_values = {a: {} for a in sy.algebra.atoms}
+    for q in sy.space.points:
+        values = {a: {p: f.values[a][(p, q)] for p in sx.space.points} for a in sx.algebra.atoms}
+        inner = integrate(Integrand(sx, values), mu)
+        for a in sy.algebra.atoms:
+            right_values[a][q] = inner[a]
+    right = integrate(Integrand(sy, right_values), nu)
+    return left, right, joint
+
+
+def rectangle_integrand(rng, draw, psigma, nonneg):
+    """An integrand constant on every block of ``psigma``, measurable
+    against ``psigma`` itself or against the discrete product."""
+    sigma = psigma if rng.random() < 0.5 else StableSigmaAlgebra.discrete(psigma.cspace)
+    values = {}
+    for a in psigma.algebra.atoms:
+        values[a] = {}
+        for b in psigma.blocks(a):
+            v = draw.value(nonneg=nonneg)
+            values[a].update({pq: v for pq in b})
+    return Integrand(sigma, values)
+
+
+class TestFubiniAgainstValidatedSections:
+    """`fubini` builds its sections trusted; the validated route is the reference."""
+
+    def test_equal_triples_on_seeded_instances(self):
+        kinds = {"signed": 0, "nonneg": 0, "zero_block": 0}
+        for seed in range(200):
+            rng, draw, sx, sy = seeded_factors(seed)
+            mu = StableMeasure.zero(sx) if rng.random() < 0.1 else draw.measure_on(sx)
+            nu = StableMeasure.zero(sy) if rng.random() < 0.1 else draw.measure_on(sy)
+            nonneg = rng.random() < 0.5
+            f = rectangle_integrand(rng, draw, product_sigma(sx, sy), nonneg)
+            got = fubini(f, mu, nu)
+            assert got == validated_fubini(f, mu, nu), f"seed {seed}"
+            assert all(type(x) is Fraction for field in got for x in field.as_dict().values())
+            kinds["nonneg" if nonneg else "signed"] += 1
+            kinds["zero_block"] += any(
+                m == 0 for measure in (mu, nu) for row in measure.block_mass.values() for m in row.values()
+            )
+        assert min(kinds.values()) > 0, kinds
+
+    def test_an_integrand_varying_on_a_rectangle_is_rejected_as_before(self):
+        rejected = 0
+        for seed in range(60):
+            rng, draw, sx, sy = seeded_factors(seed)
+            psigma = product_sigma(sx, sy)
+            a = next((a for a in sx.algebra.atoms if any(len(b) > 1 for b in psigma.blocks(a))), None)
+            if a is None:
+                continue
+            values = {c: {pq: Fraction(0) for pq in psigma.space.points} for c in sx.algebra.atoms}
+            block = next(b for b in psigma.blocks(a) if len(b) > 1)
+            values[a][min(block)] = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            f = Integrand(StableSigmaAlgebra.discrete(psigma.cspace), values)
+            mu, nu = draw.measure_on(sx), draw.measure_on(sy)
+            with pytest.raises(ValueError) as reference:
+                validated_fubini(f, mu, nu)
+            with pytest.raises(ValueError) as trusted:
+                fubini(f, mu, nu)
+            assert str(trusted.value) == str(reference.value), f"seed {seed}"
+            assert str(trusted.value).startswith("not measurable: "), f"seed {seed}"
+            rejected += 1
+        assert rejected >= 20
+
+
 class TestHahn:
     def test_largest_dominated_region(self, pair_setting, coin_space):
         _, mu, nu = pair_setting
