@@ -13,6 +13,9 @@ The member-level closure (`generate_dynkin`,
 conditional set (`condsets.MaskCodec`), where complement, union,
 difference and disjointness are single integer operations and the
 concatenations of a family are the product of its per-atom fields.
+`generate_sigma` runs its per-atom option fixpoint on point bitmasks,
+one int per fiber, and `SetRing.from_members` decides closure by a
+count: a listed ring has exactly ``2**k`` members for its ``k`` blocks.
 """
 
 from __future__ import annotations
@@ -61,15 +64,23 @@ class SetRing:
 
     @classmethod
     def from_members(cls, members: Iterable[frozenset]) -> "SetRing":
-        """Recover the blocks of an explicitly listed ring, validating closure."""
+        """Recover the blocks of an explicitly listed ring, validating closure.
+
+        Closure is decided by a count, as `_stable_codes` decides
+        stability: the list (with the empty set) is a ring exactly when it
+        has ``2**k`` members for its ``k`` signature blocks."""
         ms = {frozenset(m) for m in members}
         ms.add(frozenset())
-        for a in ms:
-            for b in ms:
-                if a | b not in ms or a - b not in ms:
-                    raise ValueError("member list is not closed under union and difference")
         covered = frozenset().union(*ms)
         blocks = classical.blocks_from_sets(covered, list(ms))
+        # Every member is a union of the signature blocks, so ms lies
+        # inside the 2**k unions of its k blocks.  If ms is closed it has
+        # meets, since a & b == a - (a - b), so it holds each block: the
+        # meet of the members that hold a point, minus the union of those
+        # that miss it; then it holds every union of blocks.  Hence ms is
+        # closed exactly when the counts match.
+        if len(ms) != 1 << len(blocks):
+            raise ValueError("member list is not closed under union and difference")
         return cls(blocks)
 
     def is_field_on(self, universe: frozenset) -> bool:
@@ -307,34 +318,38 @@ def generate_sigma(cspace: CondSpace, generator: Iterable[ConditionalSet]) -> St
     Computed per atom: the option set (absent marker plus fibers) is
     closed under the lifted complement and union, which is the same
     fixpoint as the member-level closure but without re-enumerating
-    cross-atom pairs.
+    cross-atom pairs.  An option is a point bitmask, bit ``i`` for
+    ``space.points[i]``: the absent marker is 0 and the full fiber
+    ``e``, so the lifted complement is ``e ^ o`` and the lifted union
+    ``o | k``.  The fixpoint is semi-naive, as in `_member_closure`:
+    each round pairs only the options new in the last round with all
+    of them.  The members are decoded once, and `SetRing.from_members`
+    checks their closure by a count.
     """
-    e = cspace.space.point_set
-    options: dict[str, set] = {a: {e} for a in cspace.algebra.atoms}
+    points = cspace.space.points
+    bits = {p: 1 << i for i, p in enumerate(points)}
+    e = (1 << len(points)) - 1
+    atoms = cspace.algebra.atoms
+    options: dict[str, set[int]] = {a: {e} for a in atoms}
     for v in generator:
         if not cspace.contains(v):
             raise ValueError("generator member outside the conditional power set")
-        for a in cspace.algebra.atoms:
-            options[a].add(v.fibers.get(a))
+        # an atom off the support would add the absent marker 0, which
+        # every option set reaches anyway as the complement of e
+        for a, fiber in v.fibers.items():
+            options[a].add(sum(bits[p] for p in fiber))
     per_atom: dict[str, SetRing] = {}
-    for a in cspace.algebra.atoms:
-        opts = set(options[a])
-        while True:
-            fresh = set()
-            for o in opts:
-                c = e if o is None else (e - o if o != e else None)
-                if c not in opts:
-                    fresh.add(c)
+    for a in atoms:
+        opts = options[a]
+        fresh = list(opts)
+        while fresh:
             listed = list(opts)
-            for o1 in listed:
-                for o2 in listed:
-                    u = o2 if o1 is None else (o1 if o2 is None else o1 | o2)
-                    if u not in opts and u not in fresh:
-                        fresh.add(u)
-            if not fresh:
-                break
-            opts |= fresh
-        members = {frozenset()} | {o for o in opts if o is not None}
+            additions = {o | k for o in fresh for k in listed}
+            additions.update(e ^ o for o in fresh)
+            additions -= opts
+            opts |= additions
+            fresh = list(additions)
+        members = [frozenset(p for p, bit in bits.items() if o & bit) for o in opts]
         per_atom[a] = SetRing.from_members(members)
     return StableSigmaAlgebra(cspace, per_atom)
 

@@ -162,6 +162,18 @@ class TestGeneration:
         assert len(generate_dynkin(quad, gen)) == 6
         assert generate_sigma(quad, gen).member_count() == 16
 
+    @pytest.mark.parametrize(
+        "fibers",
+        ({"a1": {1}, "a2": {2, 99}}, {"a1": {1}, "zz": {2}}),
+        ids=("point-off-the-ground-space", "atom-off-the-algebra"),
+    )
+    def test_generator_outside_the_power_set_is_named(self, trio, fibers):
+        # the check runs before any point is encoded, so a stray point or
+        # atom is never looked up in the encoding
+        gen = [mk(trio, {"a1": {1, 2}}), ConditionalSet(fibers.keys(), fibers)]
+        with pytest.raises(ValueError, match="^generator member outside the conditional power set$"):
+            generate_sigma(trio, gen)
+
 
 def _concatenations(cspace, family):
     """Every set that takes each atom's part from some member of ``family``."""
