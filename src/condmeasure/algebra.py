@@ -95,14 +95,29 @@ def ext_mul(a: ExtValue, b: ExtValue) -> ExtValue:
     return a * b
 
 
-def ext_sum(values: Iterable[ExtValue]) -> ExtValue:
-    """The extended sum of rationals (or ints) and INF: one `Fraction`, or INF.
+class Ratio:
+    """An unreduced term ``numerator / denominator`` for `ext_sum`, with a
+    positive denominator: a product of two rationals summed without
+    building, and reducing, its `Fraction`."""
 
-    Sums integer numerators over the running least common denominator.
-    A term whose denominator divides it is scaled up by one division;
-    any other denominator costs one gcd, and the numerator so far is
-    rescaled to the new common multiple.  An INF flag absorbs every
-    finite term; otherwise one `Fraction` is built at the end.
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator = numerator
+        self.denominator = denominator
+
+
+def ext_sum(values: Iterable[ExtValue | int | Ratio]) -> ExtValue:
+    """The extended sum of rationals (`Fraction`, `int` or `Ratio`) and INF:
+    one `Fraction`, or INF.
+
+    The one exact accumulator of the package: it sums integer numerators
+    over the running least common denominator, reading each finite term
+    by its ``numerator`` and ``denominator`` only.  A term whose
+    denominator divides it is scaled up by one division; any other
+    denominator costs one gcd, and the numerator so far is rescaled to
+    the new common multiple.  An INF flag absorbs every finite term;
+    otherwise one `Fraction` is built at the end.
     """
     num, den, inf = 0, 1, False
     for v in values:

@@ -6,16 +6,17 @@ integrand is the supremum of the integrals of dominated elementary
 functions.  In the finite model a measurable integrand is constant on
 each block of the measure's domain, so that supremum is the block sum
 of value times mass, with zero absorbing infinity; `integrate` computes
-exactly that, keeping the positive and negative parts apart under the
-usual finiteness requirement for signed integrands.  The elementary
-integral of the canonical level-set staircase (`canonical_elementary`)
-and the dyadic staircase route (`integrate_via_dyadic`) build the
-supremum itself and serve as oracles for the block sum.
+exactly that, under the usual finiteness requirement for signed
+integrands.  The elementary integral of the canonical level-set
+staircase (`canonical_elementary`) and the dyadic staircase route
+(`integrate_via_dyadic`) build the supremum itself and serve as oracles
+for the block sum.
 
-`integrate` sums on integers: at each atom the positive and the
-negative part are each a numerator over a common denominator, with a
-flag for an infinite part, and the atom's value becomes one `Fraction`
-at the end.
+`integrate` keeps one signed term list per atom and sums it with
+`algebra.ext_sum`, the package's one exact accumulator.  A finite term
+is the unreduced product of value and mass, an `algebra.Ratio`, so no
+`Fraction` is built per block; an infinite mass under a nonzero value
+is the term INF.
 
 `Integrand(sigma, values)` validates its input: a rational for every
 atom and ground point, constant on each block of ``sigma`` (each point
@@ -34,7 +35,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .algebra import INF, Event, ExtValue, Field, format_value
+from .algebra import INF, Event, ExtValue, Field, Ratio, ext_sum, format_value
 from .condsets import ConditionalSet, PointFun, cond_intersection, cond_union
 from .measure import StableMeasure
 from .sigma import StableSigmaAlgebra
@@ -372,7 +373,11 @@ def integrate(f: Integrand, mu: StableMeasure) -> Field:
     every ground point and f must be constant on its blocks.
     Nonnegative integrands may integrate to infinity; genuinely signed
     ones must have both part integrals finite, otherwise the integrand
-    is not integrable.  Each part is summed on integer numerators.
+    is not integrable.  Each atom's terms, positive and negative
+    together, go to `ext_sum` as one list: an unreduced `Ratio` per
+    finite term, or INF.  A signed integrand with an INF term anywhere
+    has an infinite part, so the ``signed`` flag and the INF value
+    decide integrability without summing the parts apart.
     """
     algebra = f.sigma.algebra
     if mu.algebra.atoms != algebra.atoms:
@@ -383,9 +388,7 @@ def integrate(f: Integrand, mu: StableMeasure) -> Field:
         row = f.values[a]
         if mu.domain.ring_at(a).covered != row.keys():
             raise _not_measurable(f, mu)
-        # each part: a numerator over a common denominator, and an INF flag
-        pn, pd, pinf = 0, 1, False
-        nn, nd, ninf = 0, 1, False
+        terms = []
         for block, m in mu.block_mass[a].items():
             v = _block_value(row, block)
             if v is None:
@@ -395,28 +398,8 @@ def integrate(f: Integrand, mu: StableMeasure) -> Field:
                 signed = True
             elif not n:
                 continue  # zero absorbs infinity
-            if m is INF:
-                if n > 0:
-                    pinf = True
-                else:
-                    ninf = True
-                continue
-            n *= m.numerator
-            if not n:
-                continue
-            d = v.denominator * m.denominator
-            if n > 0:
-                if d == pd:
-                    pn += n
-                else:
-                    pn = pn * d + n * pd
-                    pd *= d
-            elif d == nd:
-                nn -= n
-            else:
-                nn = nn * d - n * nd
-                nd *= d
-        values.append(INF if pinf or ninf else Fraction(pn * nd - nn * pd, pd * nd))
+            terms.append(m if m is INF else Ratio(n * m.numerator, v.denominator * m.denominator))
+        values.append(ext_sum(terms))
     if signed and any(x is INF for x in values):
         raise ValueError("not integrable: a signed part has infinite integral")
     return Field._of(algebra, tuple(values))

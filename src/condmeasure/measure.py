@@ -16,17 +16,17 @@ at each atom the generated blocks are the ring's blocks plus one block
 of the points the ring does not cover.
 
 `StableMeasure(domain, block_mass)` validates its masses against the
-domain's blocks.  `StableMeasure.eval` makes one pass over each atom's
-blocks (`_fiber_mass`) that both decides membership and sums: a block
-inside the fiber adds its mass, while a block the fiber cuts, or a
-fiber point outside every block, makes the set unmeasurable.  The sum
-runs on integer numerators over a common denominator, one `Fraction`
-per atom is built at the end, and the `Field` through the trusted
-`Field._of`.  `Kernel.mass` and the member table of `OuterMeasure` use
-the same helper.  `StableMeasure.total`, `from_point_masses` and the
-cover sums of `OuterMeasure.evaluate` go through `algebra.ext_sum`,
-which also sums on integers: numerators over a running least common
-denominator, one `Fraction` at the end.
+domain's blocks.  `StableMeasure.eval` makes one membership pass over
+each atom's blocks (`_fiber_mass`): a block inside the fiber joins the
+sum, while a block the fiber cuts, or a fiber point outside every
+block, makes the set unmeasurable.  `Kernel.mass`, the member table of
+`OuterMeasure` and the sections of `product.section_mass_integrand` use
+the same helper, and the `Field` is built through the trusted
+`Field._of`.  Every block sum here, those of `_fiber_mass` as well as
+`StableMeasure.total`, `from_point_masses` and the cover sums of
+`OuterMeasure.evaluate`, goes through the one exact accumulator,
+`algebra.ext_sum`: integer numerators over a running least common
+denominator, an INF flag, and one `Fraction` at the end.
 
 `check_measure_axioms` runs its pair loop on one int per conditional
 set (`condsets.MaskCodec`): the union, meet and difference of a pair
@@ -74,28 +74,18 @@ def _fiber_mass(masses: Mapping[frozenset, ExtValue], covered: frozenset, fiber:
     None when the blocks, which cover ``covered``, cannot measure it.
 
     A fiber point outside ``covered`` gives None.  Then one pass over the
-    blocks both tests membership and sums: a block inside the fiber adds
-    its mass, and a block the fiber cuts gives None.  Sums on integers, a
-    numerator over a common denominator, and builds one `Fraction` at the
-    end; `INF` when an infinite block lies inside.
+    blocks tests membership: a block inside the fiber joins the sum, and
+    a block the fiber cuts gives None.  `ext_sum` adds the masses.
     """
     if not fiber <= covered:
         return None
-    num, den, inf = 0, 1, False
+    inside = []
     for b, m in masses.items():
         if b <= fiber:
-            if m is INF:
-                inf = True
-                continue
-            d = m.denominator
-            if d == den:
-                num += m.numerator
-            else:
-                num = num * d + m.numerator * den
-                den *= d
+            inside.append(m)
         elif not b.isdisjoint(fiber):
             return None
-    return INF if inf else Fraction(num, den)
+    return ext_sum(inside)
 
 
 class StableMeasure:

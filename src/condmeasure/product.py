@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 from .algebra import Field, ext_mul, ext_sum
 from .condsets import CondSpace, ConditionalSet, PointFun, product_space
 from .integral import Integrand, concatenate_integrands, indicator, integrate
-from .measure import StableMeasure
+from .measure import StableMeasure, _fiber_mass
 from .sigma import SetRing, StableSigmaAlgebra
 
 
@@ -53,20 +53,23 @@ def section_at(z: ConditionalSet, x: PointFun) -> ConditionalSet:
 
 
 def section_mass_integrand(z: ConditionalSet, nu: StableMeasure, sx: StableSigmaAlgebra) -> Integrand:
-    """The function x -> mass of the x-section under the right measure."""
+    """The function x -> mass of the x-section under the right measure.
+
+    Raises when the right measure cannot measure a section: one that cuts
+    a block of its domain.
+    """
     if not nu.is_finite():
         raise ValueError("section masses need a finite right factor")
-    sy = nu.domain
     values: dict[str, dict] = {}
     for a in sx.algebra.atoms:
-        row = {}
+        masses, covered = nu.block_mass[a], nu.domain.ring_at(a).covered
+        fiber = z.fibers.get(a, frozenset())
+        row = values[a] = {}
         for p in sx.space.points:
-            if a in z.support:
-                ys = frozenset(q for (pp, q) in z.fibers[a] if pp == p)
-                row[p] = ext_sum(m for b, m in nu.block_mass[a].items() if b <= ys) if ys else Fraction(0)
-            else:
-                row[p] = Fraction(0)
-        values[a] = row
+            m = _fiber_mass(masses, covered, frozenset(q for (pp, q) in fiber if pp == p))
+            if m is None:
+                raise ValueError(f"not measurable: the section of {z!r} at {p!r} on atom {a!r}")
+            row[p] = m
     return Integrand(sx, values)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import classical
-from .algebra import ExtValue, Field, MeasureAlgebra, ext_mul, ext_sum, format_value, parse_value
+from .algebra import ExtValue, Field, MeasureAlgebra, ext_mul, format_value, parse_value
 from .condsets import CondSpace, ConditionalSet, GroundSpace, cartesian_product, product_space
 from .integral import Integrand, integrate
 from .kernels import SubAlgebra, conditional_distribution, conditional_expectation
@@ -469,17 +469,10 @@ def _parse_condset(scn: Scenario, raw: dict, space: GroundSpace, where: str) -> 
 
 
 def _classical_eval(scn: Scenario, name: str, v: ConditionalSet) -> Field:
-    """Oracle evaluation: per atom, a plain sum over the raw declaration."""
-    mu = scn.measures[name]
-    pm = scn.measure_points[name]
-    values: dict[str, ExtValue] = {}
-    for a in scn.algebra.atoms:
-        if a not in v.support:
-            values[a] = Fraction(0)
-        elif pm is not None:
-            values[a] = classical.mass_of(pm[a], v.fibers[a])
-        else:
-            values[a] = ext_sum(m for b, m in mu.block_mass[a].items() if b <= v.fibers[a])
+    """Oracle evaluation: per atom, a plain sum of the oracle's point
+    masses over the fiber."""
+    pm = _rep_point_masses(scn, name)
+    values = {a: classical.mass_of(pm[a], v.fibers[a]) if a in v.support else Fraction(0) for a in scn.algebra.atoms}
     return Field(scn.algebra, values)
 
 

@@ -91,6 +91,20 @@ class TestProductStructure:
         assert section_at(rect, {"a1": 1}) == BOTTOM
         assert section_at(rect, {"a1": 2}) == w
 
+    def test_a_section_that_cuts_a_right_block_is_not_measurable(self):
+        algebra = MeasureAlgebra([("a1", Fraction(1))])
+        sx = StableSigmaAlgebra.discrete(CondSpace(algebra, GroundSpace(("x1", "x2"))))
+        sy = StableSigmaAlgebra.trivial(CondSpace(algebra, GroundSpace(("y1", "y2"))))
+        nu = StableMeasure(sy, {"a1": {frozenset({"y1", "y2"}): Fraction(1)}})
+        with pytest.raises(ValueError, match="not measurable"):
+            nu.eval(mk(sy.cspace, {"a1": {"y1"}}))
+        z = mk(product_sigma(sx, sy).cspace, {"a1": {("x1", "y1")}})
+        with pytest.raises(ValueError, match="not measurable"):
+            section_mass_integrand(z, nu, sx)
+        whole = mk(product_sigma(sx, sy).cspace, {"a1": {("x1", "y1"), ("x1", "y2")}})
+        s = section_mass_integrand(whole, nu, sx)
+        assert s.values["a1"] == {"x1": Fraction(1), "x2": Fraction(0)}
+
 
 class TestFubini:
     def test_product_of_coordinates(self, single):
