@@ -10,7 +10,7 @@ any of it; the only shared vocabulary is the extended value type.
 A ring is given by its block masses.  The blocks partition the covered
 points, so outer mass and the Carathéodory extension are read off them
 in closed form; the cover search they check lives in
-`measure.OuterMeasure.evaluate` only.
+`measure.OuterMeasure.mass_at` only.
 """
 
 from __future__ import annotations

@@ -5,15 +5,15 @@ exact masses on the blocks of its domain.  Localization and additivity
 then hold by construction; the behavioral checker still verifies the
 whole axiom list on any measure-shaped object, so deliberately broken
 evaluators can be caught.  Pre-measures live on stable rings; their
-outer measures are computed by exact enumeration of finite ring covers.
-That cover search is the only one in the package: the oracle it is
-checked against, `classical.outer_mass`, reads the value off the block
-masses in closed form.
+outer masses come from exact enumeration of finite ring covers, one
+atom at a time (`OuterMeasure.mass_at`).  That search is the only one in
+the package: its oracle, `classical.outer_mass`, reads the value off the
+block masses in closed form.
 
 `caratheodory_extend` restricts the outer measure to the generated
 stable sigma-algebra, which it reads off the ring without a closure:
 at each atom the generated blocks are the ring's blocks plus one block
-of the points the ring does not cover.
+of the points the ring does not cover, each weighed by `mass_at`.
 
 `StableMeasure(domain, block_mass)` validates its masses against the
 domain's blocks.  `StableMeasure.eval` makes one membership pass over
@@ -24,7 +24,7 @@ block, makes the set unmeasurable.  `Kernel.mass`, the member table of
 the same helper, and the `Field` is built through the trusted
 `Field._of`.  Every block sum here, those of `_fiber_mass` as well as
 `StableMeasure.total`, `from_point_masses` and the cover sums of
-`OuterMeasure.evaluate`, goes through the one exact accumulator,
+`OuterMeasure.mass_at`, goes through the one exact accumulator,
 `algebra.ext_sum`: integer numerators over a running least common
 denominator, an INF flag, and one `Fraction` at the end.
 
@@ -391,9 +391,9 @@ class OuterMeasure:
     """Outer measure induced by a pre-measure on a stable ring.
 
     Evaluation works on every conditional set: on the coverable part it
-    is the exact infimum over finite ring covers, found by enumerating
-    irredundant cover combinations; off the coverable part it is
-    infinite, and off the support it is zero.
+    is the exact infimum over finite ring covers, found at each atom by
+    trying every combination of up to |fiber| ring members (`mass_at`);
+    off the coverable part it is infinite, and off the support it is zero.
     """
 
     __slots__ = ("premeasure", "_member_masses")
@@ -421,27 +421,24 @@ class OuterMeasure:
 
         return self.algebra.largest_event(coverable)
 
+    def mass_at(self, a: str, fiber: frozenset) -> ExtValue:
+        """Outer mass of a nonempty fiber at atom ``a``: its cheapest cover by
+        at most |fiber| ring members, or INF when it leaves the ring."""
+        if not fiber <= self.premeasure.domain.ring_at(a).covered:
+            return INF
+        table = self._member_masses[a]
+        best: ExtValue | None = None
+        for k in range(1, len(fiber) + 1):
+            for combo in combinations(table, k):
+                if fiber <= frozenset().union(*combo):
+                    total = ext_sum(table[m] for m in combo)
+                    if best is None or total < best:
+                        best = total
+        return INF if best is None else best
+
     def evaluate(self, v: ConditionalSet) -> Field:
-        values: dict[str, ExtValue] = {}
-        for a in self.algebra.atoms:
-            if a not in v.support:
-                values[a] = Fraction(0)
-                continue
-            fiber = v.fibers[a]
-            table = self._member_masses[a]
-            if not fiber <= self.premeasure.domain.ring_at(a).covered:
-                values[a] = INF
-                continue
-            best: ExtValue | None = None
-            candidates = list(table)
-            for k in range(1, len(fiber) + 1):
-                for combo in combinations(candidates, k):
-                    if fiber <= frozenset().union(*combo):
-                        total = ext_sum(table[m] for m in combo)
-                        if best is None or total < best:
-                            best = total
-            values[a] = INF if best is None else best
-        return Field(self.algebra, values)
+        atoms, fibers = self.algebra.atoms, v.fibers
+        return Field._of(self.algebra, tuple(self.mass_at(a, fibers[a]) if a in fibers else _ZERO for a in atoms))
 
 
 def is_caratheodory_measurable(outer: OuterMeasure, v: ConditionalSet) -> bool:
@@ -480,7 +477,7 @@ def caratheodory_extend(premeasure: StableMeasure) -> StableMeasure:
         rest = cspace.space.point_set - ring_a.covered
         per_atom[a] = SetRing([*ring_a.blocks, rest] if rest else ring_a.blocks)
         # in the result's block order, which the mass table then keeps
-        table[a] = {b: outer.evaluate(ConditionalSet((a,), {a: b}))[a] for b in per_atom[a].blocks}
+        table[a] = {b: outer.mass_at(a, b) for b in per_atom[a].blocks}
     return StableMeasure(StableSigmaAlgebra(cspace, per_atom), table)
 
 

@@ -260,7 +260,7 @@ def radon_nikodym(mu: StableMeasure, nu: StableMeasure) -> Integrand:
                     for b in domain.blocks(a)
                     if b <= m
                 )
-                if got != nu.eval(ConditionalSet((a,), {a: m}))[a]:
+                if got != _fiber_mass(nu.block_mass[a], domain.ring_at(a).covered, m):
                     raise ValueError("density certificate failed")
     return density
 
@@ -312,10 +312,12 @@ def daniell_stone_finite(
     """Represent a positive stable linear functional as an integral.
 
     Probes positivity, linearity over scalar fields and concatenation
-    stability with seeded random integrands, then reads the measure off
-    the indicator values of single-atom point sets and verifies the
-    integral identity on further probes.  Any failed premise or failed
-    identity raises with the premise named.
+    stability with seeded random integrands, one call per probe.  Then
+    one call per point p, on the indicator of {p} on every atom, reads
+    the mass of {p} at every atom: by concatenation stability, which the
+    probes test, its value at a is that of the call on {p} at a alone.
+    Further probes verify the integral identity.  Any failed premise or
+    failed identity raises with the premise named.
     """
     sigma = StableSigmaAlgebra.discrete(cspace)
     algebra = cspace.algebra
@@ -333,7 +335,7 @@ def daniell_stone_finite(
 
     for _ in range(_PROBES):
         g = random_integrand(nonneg=True)
-        if any(functional(g)[a] < 0 for a in algebra.atoms):
+        if any(x < 0 for x in functional(g).as_dict().values()):
             raise ValueError("functional violates positivity")
         f1, f2 = random_integrand(False), random_integrand(False)
         r = Field(algebra, {a: Fraction(rng.randint(-2, 3)) for a in algebra.atoms})
@@ -347,14 +349,11 @@ def daniell_stone_finite(
             expected = algebra.concatenate_field([functional(f1), functional(f2)], parts)
             if functional(mixed) != expected:
                 raise ValueError("functional violates concatenation stability")
-    table: dict[str, dict[frozenset, Fraction]] = {a: {} for a in algebra.atoms}
-    for a in algebra.atoms:
-        for p in cspace.space.points:
-            value = functional(indicator(ConditionalSet((a,), {a: frozenset((p,))}), sigma))[a]
-            if value < 0:
-                raise ValueError("functional violates positivity")
-            table[a][frozenset((p,))] = value
-    measure = StableMeasure(sigma, table)
+    atoms, points = algebra.atoms, cspace.space.points
+    reads = [functional(indicator(ConditionalSet(atoms, {a: (p,) for a in atoms}), sigma)) for p in points]
+    if any(x < 0 for r in reads for x in r.as_dict().values()):
+        raise ValueError("functional violates positivity")
+    measure = StableMeasure(sigma, {a: {frozenset((p,)): r[a] for p, r in zip(points, reads)} for a in atoms})
     for _ in range(_PROBES):
         g = random_integrand(False)
         if functional(g) != integrate(g, measure):

@@ -660,9 +660,8 @@ def _q_caratheodory(scn: Scenario, q: dict, where: str) -> QueryResult:
     with _located(where):
         ext = caratheodory_extend(pre)
     agree = all(
-        ext.eval(ConditionalSet((a,), {a: b}))[a] == mass
+        ext.block_mass[a] == classical.caratheodory_blocks(space.point_set, pre.block_mass[a])
         for a in scn.algebra.atoms
-        for b, mass in classical.caratheodory_blocks(space.point_set, pre.block_mass[a]).items()
     )
     lines, payload = _block_table(ext, space, str)
     lines.append(_oracle_line(agree))

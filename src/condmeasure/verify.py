@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from . import classical, condsets, integral, kernels, measure
 from . import product as products
-from .algebra import INF, Field, MeasureAlgebra, ext_mul, ext_sum, format_value
+from .algebra import INF, ExtValue, Field, MeasureAlgebra, ext_mul, ext_sum, format_value
 from .condsets import (
     BOTTOM,
     CondSpace,
@@ -865,13 +865,13 @@ def _broken_eval(self: StableMeasure, v: ConditionalSet) -> Field:
     return Field(self.algebra, values)
 
 
-_original_outer_evaluate = OuterMeasure.evaluate
+_original_outer_mass_at = OuterMeasure.mass_at
 
 
-def _broken_outer_evaluate(self: OuterMeasure, v: ConditionalSet) -> Field:
+def _broken_outer_mass_at(self: OuterMeasure, a: str, fiber: frozenset) -> ExtValue:
     # forgets that uncovered regions must be infinite
-    out = _original_outer_evaluate(self, v)
-    return Field(out.algebra, {a: (Fraction(0) if out[a] is INF else out[a]) for a in out.algebra.atoms})
+    out = _original_outer_mass_at(self, a, fiber)
+    return Fraction(0) if out is INF else out
 
 
 _original_measurable = measure.is_caratheodory_measurable
@@ -952,7 +952,7 @@ FAULTS: dict[str, tuple[str, Callable, str]] = {
     ),
     "outer-ignores-uncovered": (
         "outer measure reports zero instead of infinity off the coverable event",
-        _Swap(OuterMeasure, "evaluate", _broken_outer_evaluate),
+        _Swap(OuterMeasure, "mass_at", _broken_outer_mass_at),
         "outer",
     ),
     "caratheodory-rejects-uncovered": (

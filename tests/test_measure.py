@@ -472,6 +472,14 @@ class TestCaratheodoryExtension:
         v = mk(trio, {"a1": {1, 2}, "a2": {1, 2}})
         assert ext.eval(v) == premeasure.eval(v)
 
+    def test_uncovered_point_fault_reaches_the_extension(self, premeasure):
+        # point 3 lies in no ring block: its remainder block is infinite,
+        # and the fault on the per-atom outer mass makes it 0
+        rest = frozenset({3})
+        assert caratheodory_extend(premeasure).block_mass["a2"][rest] is INF
+        with inject_fault("outer-ignores-uncovered"):
+            assert caratheodory_extend(premeasure).block_mass["a2"][rest] == 0
+
 
 class TestUniqueness:
     def test_agreement_on_generator_forces_agreement(self, trio):

@@ -28,6 +28,8 @@ from condmeasure import (
     section_at,
     section_mass_integrand,
 )
+from condmeasure import product
+from condmeasure.integral import concatenate_integrands
 from condmeasure.verify import Draw, Size
 
 
@@ -425,3 +427,43 @@ class TestDaniellStone:
         )
         with pytest.raises(ValueError, match="positivity"):
             daniell_stone_finite(coin_space, lambda g: integrate(g, mu) * Fraction(-1))
+
+    @staticmethod
+    def hidden_measure(atoms):
+        """A measure on ``atoms`` atoms over 3 points, distinct masses per atom."""
+        algebra = MeasureAlgebra.uniform([f"a{i}" for i in range(atoms)])
+        cspace = CondSpace(algebra, GroundSpace((1, 2, 3)))
+        masses = {a: {p: Fraction(i + p, 3) for p in (1, 2, 3)} for i, a in enumerate(algebra.atoms)}
+        return cspace, StableMeasure.from_point_masses(StableSigmaAlgebra.discrete(cspace), masses)
+
+    def test_functional_calls_do_not_grow_with_the_atoms(self):
+        # one call per probe and one per point, whatever the atom count
+        counts = []
+        for atoms in (2, 6):
+            cspace, hidden = self.hidden_measure(atoms)
+            calls = []
+
+            def functional(g):
+                calls.append(g)
+                return integrate(g, hidden)
+
+            assert daniell_stone_finite(cspace, functional).block_mass == hidden.block_mass
+            counts.append(len(calls))
+        assert counts[0] == counts[1], counts
+
+    def test_every_stability_probe_splits_the_atoms(self, monkeypatch):
+        # a split with an empty side tests nothing about concatenation
+        splits = []
+
+        def recording(fs, partition):
+            splits.append(list(partition))
+            return concatenate_integrands(fs, partition)
+
+        monkeypatch.setattr(product, "concatenate_integrands", recording)
+        for atoms in (2, 3, 4):
+            cspace, hidden = self.hidden_measure(atoms)
+            daniell_stone_finite(cspace, lambda g: integrate(g, hidden))
+            assert len(splits) == 8
+            for ev, rest in splits:
+                assert ev and rest and ev | rest == frozenset(cspace.algebra.atoms), (atoms, ev, rest)
+            splits.clear()

@@ -14,14 +14,34 @@ uses another algorithm:
   families on 4 and 5 points.  The reference is the definition: the
   family with the empty set is closed under pairwise union and
   difference.
+- `OuterMeasure.mass_at`, the cover search, and `caratheodory_extend`
+  on every pre-measure of one atom on 1-3 points and of two atoms on
+  1-2 points, with block masses in {0, 1/2, 1, INF}.  The per-atom
+  outer mass of every nonempty fiber must equal `classical.outer_mass`
+  (the mass of the blocks the fiber meets), and the extension's blocks
+  and masses must equal `classical.caratheodory_blocks`.
 """
 
 import random
-from itertools import chain, combinations
+from fractions import Fraction
+from itertools import chain, combinations, product
 
 import pytest
 
-from condmeasure import CondSpace, GroundSpace, MeasureAlgebra, SetRing, fiberwise_sigma_oracle, generate_sigma
+from condmeasure import (
+    INF,
+    CondSpace,
+    GroundSpace,
+    MeasureAlgebra,
+    OuterMeasure,
+    SetRing,
+    StableMeasure,
+    StableRing,
+    caratheodory_extend,
+    classical,
+    fiberwise_sigma_oracle,
+    generate_sigma,
+)
 from condmeasure.sigma import generate_sigma_extensional
 
 #: (atoms, points, largest number of generators) of every sigma scope.
@@ -95,3 +115,48 @@ def test_from_members_matches_the_closure_definition_on_seeded_families():
             family = set(rng.sample(power, rng.randint(1, 8)))
         outcomes.append(check_from_members(sorted(family, key=sorted)))
     assert outcomes.count(True) > 50 and outcomes.count(False) > 50
+
+
+#: (atoms, points, number of pre-measures) of every pre-measure scope.
+PREMEASURE_SCOPES = ((1, 1, 5), (1, 2, 29), (1, 3, 189), (2, 1, 25), (2, 2, 841))
+MASSES = (Fraction(0), Fraction(1, 2), Fraction(1), INF)
+
+
+def partial_partitions(points) -> list[tuple[frozenset, ...]]:
+    """Every family of disjoint nonempty blocks of ``points``: each point
+    takes a block label, and label 0 leaves it uncovered."""
+    families = set()
+    for labels in product(range(len(points) + 1), repeat=len(points)):
+        blocks = (frozenset(p for p, k in zip(points, labels) if k == label) for label in range(1, len(points) + 1))
+        families.add(frozenset(b for b in blocks if b))
+    return sorted((tuple(sorted(f, key=sorted)) for f in families), key=lambda f: [sorted(b) for b in f])
+
+
+def premeasures(cspace: CondSpace):
+    """Every pre-measure on ``cspace`` with block masses in MASSES."""
+    local = [
+        (blocks, dict(zip(blocks, ms)))
+        for blocks in partial_partitions(cspace.space.points)
+        for ms in product(MASSES, repeat=len(blocks))
+    ]
+    atoms = cspace.algebra.atoms
+    for choice in product(local, repeat=len(atoms)):
+        ring = StableRing(cspace, {a: SetRing(list(blocks)) for a, (blocks, _) in zip(atoms, choice)})
+        yield StableMeasure(ring, {a: masses for a, (_, masses) in zip(atoms, choice)})
+
+
+@pytest.mark.parametrize("atoms, points, count", PREMEASURE_SCOPES)
+def test_outer_mass_and_extension_equal_the_closed_forms_on_every_premeasure(atoms, points, count):
+    cspace = cspace_of(atoms, points)
+    universe = cspace.space.point_set
+    fibers = subsets(universe)[1:]
+    seen = 0
+    for pre in premeasures(cspace):
+        outer, ext = OuterMeasure(pre), caratheodory_extend(pre)
+        for a in cspace.algebra.atoms:
+            masses = pre.block_mass[a]
+            for fiber in fibers:
+                assert outer.mass_at(a, fiber) == classical.outer_mass(masses, fiber), (pre, a, fiber)
+            assert ext.block_mass[a] == classical.caratheodory_blocks(universe, masses), pre
+        seen += 1
+    assert seen == count
