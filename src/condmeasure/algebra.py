@@ -239,19 +239,23 @@ class MeasureAlgebra:
             seen |= ev
         return seen == set(self.atoms)
 
-    def concatenate_field(self, fields: Sequence["Field"], partition: Sequence[Event]) -> "Field":
-        """Paste one field value per partition block into a single field."""
-        if len(fields) != len(partition):
-            raise ValueError("concatenate_field: one field per partition block required")
+    def paste(self, pieces: Sequence, partition: Sequence[Event]) -> dict:
+        """The pasting rule of every concatenation (of sets, fields and
+        integrands) and of `kernels.SubAlgebra`: each atom gets the piece
+        of the partition event that holds it.  Needs one piece per event,
+        and events that partition the atoms."""
+        if len(pieces) != len(partition):
+            raise ValueError("concatenate: one piece per partition block required")
         if not self.is_partition(partition):
             raise ValueError("not a partition")
-        values: dict[str, ExtValue] = {}
-        for f, ev in zip(fields, partition):
-            if f.algebra is not self and f.algebra != self:
-                raise ValueError("field belongs to a different algebra")
-            for a in ev:
-                values[a] = f[a]
-        return Field(self, values)
+        return {a: piece for piece, ev in zip(pieces, partition) for a in ev}
+
+    def concatenate_field(self, fields: Sequence["Field"], partition: Sequence[Event]) -> "Field":
+        """Paste one field value per partition block into a single field."""
+        piece_of = self.paste(fields, partition)
+        if any(f.algebra is not self and f.algebra != self for f in fields):
+            raise ValueError("field belongs to a different algebra")
+        return Field._of(self, tuple(piece_of[a][a] for a in self.atoms))
 
 class Field:
     """An atom-indexed vector of exact values.

@@ -60,14 +60,14 @@ class GroundSpace:
             if len(set(self.coords.values())) != len(self.points):
                 raise ValueError("coords must be injective")
 
-    @property
+    # Both are built once per space; cached attributes, not fields, so
+    # they take no part in equality or hashing.
+    @cached_property
     def point_set(self) -> frozenset:
         return frozenset(self.points)
 
     @cached_property
     def _order(self) -> dict:
-        # built once per space; a cached attribute, not a field, so it
-        # takes no part in equality or hashing
         return {p: i for i, p in enumerate(self.points)}
 
     def sort_key(self):
@@ -238,6 +238,12 @@ class MaskCodec:
             code >>= n
         return ConditionalSet._of(fibers)
 
+    def parts(self, codes: set[int]) -> list[set[int]]:
+        """Per atom, in atom order, the distinct parts ``c & fields[i]`` of
+        the codes.  Taking one part per atom and summing is a concatenation
+        of the sets the codes encode, and every concatenation arises so."""
+        return [{c & f for c in codes} for f in self.fields]
+
     def _mask(self, fiber: frozenset) -> int:
         try:
             m = sum(self._bits[p] for p in fiber)
@@ -337,12 +343,8 @@ class CondSpace:
 
     def concatenate(self, sets: Sequence[ConditionalSet], partition: Sequence[Event]) -> ConditionalSet:
         """Paste one conditional set per partition block into a single set."""
-        if len(sets) != len(partition):
-            raise ValueError("concatenate: one set per partition block required")
-        if not self.algebra.is_partition(partition):
-            raise ValueError("not a partition")
-        pieces = [s.restrict(ev) for s, ev in zip(sets, partition)]
-        return cond_union(pieces)
+        piece_of = self.algebra.paste(sets, partition)
+        return ConditionalSet._of({a: s.fibers[a] for a, s in piece_of.items() if a in s.support})
 
     def stable_hull(self, xs: Iterable[PointFun]) -> ConditionalSet:
         """Smallest full-support conditional set containing every choice in xs."""

@@ -10,7 +10,8 @@ exactly that, under the usual finiteness requirement for signed
 integrands.  The elementary integral of the canonical level-set
 staircase (`canonical_elementary`) and the dyadic staircase route
 (`integrate_via_dyadic`) build the supremum itself and serve as oracles
-for the block sum.
+for the block sum; both staircases and `_not_measurable` take their
+level cells from `_level_cells`.
 
 `integrate` keeps one signed term list per atom and sums it with
 `algebra.ext_sum`, the package's one exact accumulator.  A finite term
@@ -22,11 +23,13 @@ is the term INF.
 atom and ground point, constant on each block of ``sigma`` (each point
 is compared with its block's first).  Values that are already
 `Fraction`s are kept as they are.  Integrand arithmetic (`+`, `-`, `*`,
-`max2`, `min2`, `pos_part`, `neg_part`) and `indicator` build their
-results through the trusted `Integrand._of`: pointwise operations on
-block-constant rows are block-constant, and an indicator of a member of
-``sigma`` is constant on its blocks.  A product with an indicator
-selects values instead of multiplying them (`_times`).
+`max2`, `min2`, `pos_part`, `neg_part`), `indicator` and
+`concatenate_integrands` build their results through the trusted
+`Integrand._of`: pointwise operations on block-constant rows are
+block-constant, an indicator of a member of ``sigma`` is constant on
+its blocks, and rows pasted by `MeasureAlgebra.paste` keep theirs.  A
+product with an indicator selects values instead of multiplying them
+(`_times`).
 """
 
 from __future__ import annotations
@@ -208,18 +211,10 @@ def concatenate_integrands(fs: Sequence[Integrand], partition: Sequence[Event]) 
     if not fs:
         raise ValueError("nothing to concatenate")
     sigma = fs[0].sigma
-    algebra = sigma.algebra
-    if len(fs) != len(partition):
-        raise ValueError("one integrand per partition block required")
-    if not algebra.is_partition(partition):
-        raise ValueError("not a partition")
-    values: dict[str, Mapping] = {}
-    for f, ev in zip(fs, partition):
-        if f.sigma != sigma:
-            raise ValueError("integrands measurable against different sigma-algebras")
-        for a in ev:
-            values[a] = f.values[a]
-    return Integrand(sigma, values)
+    piece_of = sigma.algebra.paste(fs, partition)
+    if any(f.sigma != sigma for f in fs):
+        raise ValueError("integrands measurable against different sigma-algebras")
+    return Integrand._of(sigma, {a: piece_of[a].values[a] for a in sigma.algebra.atoms})
 
 
 class ElementaryFunction:
@@ -267,6 +262,24 @@ def elementary_integral(phi: ElementaryFunction, mu: StableMeasure) -> Field:
     return total
 
 
+def _level_cells(f: Integrand, level: Callable[[Fraction], Fraction]) -> list[tuple[Fraction, ConditionalSet]]:
+    """The nonempty level cells of f, in increasing order of level: the
+    cell of a level holds, at each atom, the points whose value has it."""
+    cells: dict[Fraction, dict[str, set]] = {}
+    for a, row in f.values.items():
+        for p, v in row.items():
+            cells.setdefault(level(v), {}).setdefault(a, set()).add(p)
+    return [(lv, ConditionalSet(fibers.keys(), fibers)) for lv, fibers in sorted(cells.items())]
+
+
+def _cell_values(f: Integrand, cell: ConditionalSet) -> Field:
+    """The coefficient of a cell on which f is constant at each atom: that
+    value at each supported atom, zero elsewhere."""
+    fibers = cell.fibers
+    values = {a: f.values[a][next(iter(fibers[a]))] if a in fibers else _ZERO for a in f.sigma.algebra.atoms}
+    return Field(f.sigma.algebra, values)
+
+
 def canonical_elementary(f: Integrand) -> ElementaryFunction:
     """Level-set form: one cell per attained value, coefficients per atom.
 
@@ -276,18 +289,7 @@ def canonical_elementary(f: Integrand) -> ElementaryFunction:
     """
     if not f.is_nonnegative():
         raise ValueError("canonical elementary form needs a nonnegative integrand")
-    algebra = f.sigma.algebra
-    by_value: dict[Fraction, dict[str, set]] = {}
-    for a, row in f.values.items():
-        for p, v in row.items():
-            by_value.setdefault(v, {}).setdefault(a, set()).add(p)
-    terms = []
-    for v in sorted(by_value):
-        fibers = by_value[v]
-        cell = ConditionalSet(fibers.keys(), fibers)
-        coef = Field(algebra, {a: (v if a in fibers else Fraction(0)) for a in algebra.atoms})
-        terms.append((coef, cell))
-    return ElementaryFunction(f.sigma, terms)
+    return ElementaryFunction(f.sigma, [(_cell_values(f, cell), cell) for _, cell in _level_cells(f, lambda v: v)])
 
 
 def dyadic_approximation(f: Integrand, n: int) -> ElementaryFunction:
@@ -302,17 +304,8 @@ def dyadic_approximation(f: Integrand, n: int) -> ElementaryFunction:
     if not f.is_nonnegative():
         raise ValueError("dyadic approximation needs a nonnegative integrand")
     scale = 2**n
-    cells: dict[Fraction, dict[str, set]] = {}
-    for a, row in f.values.items():
-        for p, v in row.items():
-            level = Fraction(n) if v >= n else Fraction(math.floor(v * scale), scale)
-            cells.setdefault(level, {}).setdefault(a, set()).add(p)
-    algebra = f.sigma.algebra
-    terms = [
-        (Field.constant(algebra, level), ConditionalSet(fibers.keys(), fibers))
-        for level, fibers in sorted(cells.items())
-    ]
-    return ElementaryFunction(f.sigma, terms)
+    cells = _level_cells(f, lambda v: Fraction(n) if v >= n else Fraction(math.floor(v * scale), scale))
+    return ElementaryFunction(f.sigma, [(Field.constant(f.sigma.algebra, level), cell) for level, cell in cells])
 
 
 #: The deepest staircase level `integrate_via_dyadic` tries.
@@ -335,17 +328,8 @@ def integrate_via_dyadic(f: Integrand, mu: StableMeasure) -> Field:
             for _, cell in staircase.terms
             for a in cell.support
         ):
-            exact_terms = []
-            for _, cell in staircase.terms:
-                coef = Field(
-                    f.sigma.algebra,
-                    {
-                        a: (f.values[a][next(iter(cell.fibers[a]))] if a in cell.support else Fraction(0))
-                        for a in f.sigma.algebra.atoms
-                    },
-                )
-                exact_terms.append((coef, cell))
-            return elementary_integral(ElementaryFunction(f.sigma, exact_terms), mu)
+            exact = ElementaryFunction(f.sigma, [(_cell_values(f, cell), cell) for _, cell in staircase.terms])
+            return elementary_integral(exact, mu)
     raise ValueError("dyadic cells failed to separate the integrand values")
 
 
@@ -355,8 +339,8 @@ def _not_measurable(f: Integrand, mu: StableMeasure) -> ValueError:
     It names the first level cell, of the positive part and then of the
     negative part, that the measure's domain does not contain.
     """
-    for part in (f.pos_part(), f.neg_part()):
-        for _, cell in canonical_elementary(part).terms:
+    for level in (lambda v: max(v, _ZERO), lambda v: max(-v, _ZERO)):
+        for _, cell in _level_cells(f, level):
             if not mu.domain.contains(cell):
                 return ValueError(f"not measurable: {cell!r}")
     return ValueError("not measurable: the measure's domain covers other ground points")

@@ -8,11 +8,11 @@ sigma-algebra of a coordinate space is read as a kernel atom by atom,
 with no distribution function in between; the classical route through
 the jumps of the distribution function (`classical.distribution_jumps`)
 is the oracle it is checked against.  Conditioning on a sub-algebra
-coarsens the atoms into blocks; conditional distributions then live
-over the quotient algebra and conditional expectations are integrals
-against them.  Over the one-block grouping the conditional distribution
-is the plain law of the observation, which `classical.pushforward`
-computes as its oracle.
+coarsens the atoms into blocks, labeled through `MeasureAlgebra.paste`;
+conditional distributions then live over the quotient algebra and
+conditional expectations are integrals against them.  Over the
+one-block grouping the conditional distribution is the plain law of
+the observation, which `classical.pushforward` computes as its oracle.
 """
 
 from __future__ import annotations
@@ -115,10 +115,7 @@ class SubAlgebra:
             [(label, sum((algebra.weights[a] for a in block), Fraction(0)))
              for label, block in zip(self.labels, self.blocks)]
         )
-        self._label_of = {}
-        for label, block in zip(self.labels, self.blocks):
-            for a in block:
-                self._label_of[a] = label
+        self._label_of = algebra.paste(self.labels, self.blocks)
 
     def spread_to_atoms(self, g: Field) -> Field:
         """Copy a quotient-level field back onto the original atoms."""
@@ -133,10 +130,13 @@ def conditional_distribution(sub: SubAlgebra, xi: PointFun, space: GroundSpace) 
     domain is the discrete sigma-algebra over the quotient atoms.
     """
     algebra = sub.algebra
+    for a in algebra.atoms:
+        if xi[a] not in space.point_set:
+            raise ValueError(f"observation {xi[a]!r} at atom {a!r} is not a ground point")
     domain = StableSigmaAlgebra.discrete(CondSpace(sub.quotient, space))
     table: dict[str, dict[frozenset, ExtValue]] = {}
     for label, block in zip(sub.labels, sub.blocks):
-        total = sum((algebra.weights[a] for a in block), Fraction(0))
+        total = sub.quotient.weights[label]
         table[label] = {
             b: sum((algebra.weights[a] for a in block if xi[a] in b), Fraction(0)) / total
             for b in domain.blocks(label)

@@ -127,6 +127,8 @@ class StableMeasure:
         """Unit mass at one chosen point per atom."""
         table = {}
         for a in domain.algebra.atoms:
+            if x[a] not in domain.space.point_set:
+                raise ValueError(f"dirac point {x[a]!r} at atom {a!r} is not a ground point")
             table[a] = {b: Fraction(1 if x[a] in b else 0) for b in domain.ring_at(a).blocks}
         return cls(domain, table)
 

@@ -339,15 +339,15 @@ def daniell_stone_finite(
             raise ValueError("functional violates positivity")
         f1, f2 = random_integrand(False), random_integrand(False)
         r = Field(algebra, {a: Fraction(rng.randint(-2, 3)) for a in algebra.atoms})
-        if functional(f1 + f2 * r) != functional(f1) + functional(f2) * r:
+        v1, v2 = functional(f1), functional(f2)
+        if functional(f1 + f2 * r) != v1 + v2 * r:
             raise ValueError("functional violates linearity over scalar fields")
         if len(algebra.atoms) > 1:
             pivot = rng.randint(1, len(algebra.atoms) - 1)
             ev = frozenset(algebra.atoms[:pivot])
             parts = [ev, algebra.complement_event(ev)]
             mixed = concatenate_integrands([f1, f2], parts)
-            expected = algebra.concatenate_field([functional(f1), functional(f2)], parts)
-            if functional(mixed) != expected:
+            if functional(mixed) != algebra.concatenate_field([v1, v2], parts):
                 raise ValueError("functional violates concatenation stability")
     atoms, points = algebra.atoms, cspace.space.points
     reads = [functional(indicator(ConditionalSet(atoms, {a: (p,) for a in atoms}), sigma)) for p in points]

@@ -9,10 +9,10 @@ least-fixpoint closure; an independent fiberwise route recomputes it
 through classical signature partitions for cross-checking.
 
 The member-level closure (`generate_dynkin`,
-`generate_sigma_extensional`) and `classify` work on one int per
-conditional set (`condsets.MaskCodec`), where complement, union,
-difference and disjointness are single integer operations and the
-concatenations of a family are the product of its per-atom fields.
+`generate_sigma_extensional`), `classify` and `mix_closure` work on
+one int per conditional set (`condsets.MaskCodec`): complement, union,
+difference and disjointness are single integer operations, and the
+concatenations of a family are the product of its `MaskCodec.parts`.
 `generate_sigma` runs its per-atom option fixpoint on point bitmasks,
 one int per fiber, and `SetRing.from_members` decides closure by a
 count: a listed ring has exactly ``2**k`` members for its ``k`` blocks.
@@ -211,27 +211,19 @@ class StableSigmaAlgebra(_PerAtomFamily):
         return self.per_atom[atom].blocks
 
 
-def _mix_options(algebra: MeasureAlgebra, members: Iterable[ConditionalSet]) -> list[list]:
-    options: dict[str, set] = {a: set() for a in algebra.atoms}
-    for v in members:
-        for a in algebra.atoms:
-            options[a].add(v.fibers.get(a))
-    return [sorted(options[a], key=lambda f: (f is None, sorted(map(str, f or ())))) for a in algebra.atoms]
-
-
 def mix_closure(cspace: CondSpace, members: Iterable[ConditionalSet]) -> frozenset:
-    """Closure under concatenation along partitions: all atomwise mixes."""
-    members = list(members)
-    if not members:
-        return frozenset()
-    return frozenset(_mixes(cspace.algebra.atoms, _mix_options(cspace.algebra, members)))
+    """Closure under concatenation along partitions: all atomwise mixes,
+    the sums of one `MaskCodec.parts` part per atom."""
+    codec = MaskCodec(cspace)
+    codes = {codec.encode(v) for v in members}
+    return frozenset(codec.decode(sum(mix)) for mix in product(*codec.parts(codes)))
 
 
 def _stable_codes(cspace: CondSpace, members: Iterable[ConditionalSet]) -> tuple[MaskCodec, set] | None:
     """The codes of a nonempty stable collection, or None.
 
     A collection always lies inside its concatenations, the product of
-    its per-atom fields, so it is stable exactly when it is as large as
+    its per-atom parts, so it is stable exactly when it is as large as
     that product."""
     ms = frozenset(members)
     if not ms:
@@ -240,7 +232,7 @@ def _stable_codes(cspace: CondSpace, members: Iterable[ConditionalSet]) -> tuple
         raise ValueError("members outside the conditional power set")
     codec = MaskCodec(cspace)
     codes = {codec.encode(v) for v in ms}
-    if math.prod(len({c & f for c in codes}) for f in codec.fields) != len(codes):
+    if math.prod(map(len, codec.parts(codes))) != len(codes):
         return None
     return codec, codes
 
@@ -280,11 +272,11 @@ def _member_closure(cspace: CondSpace, seeds: Iterable[ConditionalSet], *, disjo
     Runs on one int per set (`MaskCodec`): the complement of a set is
     ``top ^ x``, a union is ``x | y``, two sets are disjoint when
     ``x & y`` is 0, and the concatenations of a family are the sums of
-    one part per atom field, ``c & f`` over its members ``c``.  The
-    conditional sets are built once, from the fixpoint.
+    one part per atom (`MaskCodec.parts`).  The conditional sets are
+    built once, from the fixpoint.
     """
     codec = MaskCodec(cspace)
-    top, fields = codec.top, codec.fields
+    top = codec.top
     family = {codec.encode(v) for v in seeds}
     family.add(top)
     fresh = list(family)
@@ -299,7 +291,7 @@ def _member_closure(cspace: CondSpace, seeds: Iterable[ConditionalSet], *, disjo
                 additions.add(m | k)
         additions -= family
         family |= additions
-        for m in map(sum, product(*({c & f for c in family} for f in fields))):
+        for m in map(sum, product(*codec.parts(family))):
             if m not in family:
                 additions.add(m)
                 family.add(m)

@@ -912,9 +912,8 @@ def _broken_cond_dist(sub, xi, space):
     # forgets to renormalize by the block weight
     out = _original_cond_dist(sub, xi, space)
     table = {}
-    for label, block in zip(sub.labels, sub.blocks):
-        total = sum((sub.algebra.weights[a] for a in block), Fraction(0))
-        table[label] = {b: ext_mul(m, total) for b, m in out.block_mass[label].items()}
+    for label in sub.labels:
+        table[label] = {b: ext_mul(m, sub.quotient.weights[label]) for b, m in out.block_mass[label].items()}
     return StableMeasure(out.domain, table)
 
 

@@ -5,7 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from condmeasure import INF, Field, MeasureAlgebra, format_value, parse_value
+from condmeasure import (
+    INF,
+    CondSpace,
+    Field,
+    GroundSpace,
+    Integrand,
+    MeasureAlgebra,
+    StableSigmaAlgebra,
+    SubAlgebra,
+    concatenate_integrands,
+    format_value,
+    parse_value,
+)
 from condmeasure.algebra import ext_add, ext_mul, ext_sub, ext_sum, is_finite
 from condmeasure.verify import checked_largest_event
 
@@ -131,6 +143,30 @@ class TestMeasureAlgebra:
         assert pasted.as_dict() == {"a1": 2, "a2": 1, "a3": 2}
         with pytest.raises(ValueError):
             alg.concatenate_field([f, g], [frozenset({"a1"}), frozenset({"a1", "a3"})])
+
+    def test_every_pasting_rejects_a_wrong_count_and_a_non_partition_alike(self):
+        alg = MeasureAlgebra.uniform(["a1", "a2"])
+        cspace = CondSpace(alg, GroundSpace((1, 2)))
+        sigma = StableSigmaAlgebra.discrete(cspace)
+        pastings = (
+            (alg.paste, "piece"),
+            (cspace.concatenate, cspace.top),
+            (alg.concatenate_field, Field.constant(alg, Fraction(1))),
+            (concatenate_integrands, Integrand.constant(sigma, 1)),
+        )
+        split = [frozenset({"a1"}), frozenset({"a2"})]
+        for paste, piece in pastings:
+            with pytest.raises(ValueError, match="^concatenate: one piece per partition block required$"):
+                paste([piece], split)
+            with pytest.raises(ValueError, match="^concatenate: one piece per partition block required$"):
+                paste([piece] * 3, split)
+            for events in ([frozenset({"a1"}), frozenset({"a1", "a2"})], [frozenset({"a1"}), frozenset()]):
+                with pytest.raises(ValueError, match="^not a partition$"):
+                    paste([piece, piece], events)
+        # the labels of a sub-algebra come one per block, so only its
+        # blocks can fail, and they are checked before they are sorted
+        with pytest.raises(ValueError, match="^sub-algebra blocks must partition the atoms$"):
+            SubAlgebra(alg, [["a1"], ["a1", "a2"]])
 
 
 class TestField:

@@ -190,6 +190,23 @@ class TestConditioning:
         direct = conditional_expectation(trivial, dice["roll"], dice["space"], dice["face"])
         assert outer[trivial.labels[0]] == direct[trivial.labels[0]] == Fraction(7, 2)
 
+    @staticmethod
+    def off_ground_observation():
+        """Four uniform atoms in two pairs; a2 observes 7, not a ground point."""
+        algebra = MeasureAlgebra.uniform(["a1", "a2", "a3", "a4"])
+        sub = SubAlgebra(algebra, [["a1", "a2"], ["a3", "a4"]])
+        return sub, {"a1": 1, "a2": 7, "a3": 2, "a4": 3}, GroundSpace((1, 2, 3))
+
+    def test_distribution_rejects_an_observation_off_the_ground_points(self):
+        sub, xi, space = self.off_ground_observation()
+        with pytest.raises(ValueError, match="^observation 7 at atom 'a2' is not a ground point$"):
+            conditional_distribution(sub, xi, space)
+
+    def test_expectation_rejects_an_observation_off_the_ground_points(self):
+        sub, xi, space = self.off_ground_observation()
+        with pytest.raises(ValueError, match="^observation 7 at atom 'a2' is not a ground point$"):
+            conditional_expectation(sub, xi, space, {p: Fraction(p) for p in space.points})
+
     def test_distribution_over_trivial_grouping_is_the_law(self, dice):
         algebra = dice["algebra"]
         trivial = SubAlgebra(algebra, [list(algebra.atoms)])

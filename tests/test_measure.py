@@ -238,6 +238,11 @@ class TestStableMeasure:
         assert delta.eval(v).as_dict() == {"a1": 1, "a2": 0}
         assert delta.is_probability()
 
+    def test_dirac_rejects_a_point_off_the_ground_points(self, trio):
+        for domain in (StableSigmaAlgebra.discrete(trio), StableRing(trio, {"a1": SetRing([]), "a2": SetRing([])})):
+            with pytest.raises(ValueError, match="^dirac point 7 at atom 'a2' is not a ground point$"):
+                StableMeasure.dirac(domain, {"a1": 1, "a2": 7})
+
     def test_scale_and_add(self, trio):
         sig = StableSigmaAlgebra.trivial(trio)
         mu = StableMeasure(sig, {a: {frozenset({1, 2, 3}): Fraction(1)} for a in ("a1", "a2")})

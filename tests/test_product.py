@@ -437,7 +437,9 @@ class TestDaniellStone:
         return cspace, StableMeasure.from_point_masses(StableSigmaAlgebra.discrete(cspace), masses)
 
     def test_functional_calls_do_not_grow_with_the_atoms(self):
-        # one call per probe and one per point, whatever the atom count
+        # per probe one call for positivity, one each for f1 and f2, one
+        # for linearity and one for stability; then one per point (3) and
+        # one per identity probe, whatever the atom count
         counts = []
         for atoms in (2, 6):
             cspace, hidden = self.hidden_measure(atoms)
@@ -449,7 +451,7 @@ class TestDaniellStone:
 
             assert daniell_stone_finite(cspace, functional).block_mass == hidden.block_mass
             counts.append(len(calls))
-        assert counts[0] == counts[1], counts
+        assert counts == [8 * 5 + 3 + 8] * 2, counts
 
     def test_every_stability_probe_splits_the_atoms(self, monkeypatch):
         # a split with an empty side tests nothing about concatenation
