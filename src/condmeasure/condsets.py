@@ -20,6 +20,7 @@ empty, and they keep only frozensets.
 point bits per atom, for the member-level loops that apply the lattice
 operations to many pairs: there each operation is one integer
 operation, and a `ConditionalSet` is built only where a loop needs one.
+`MaskCodec.mixes` is the one enumeration of conditional sets.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ class MaskCodec:
             raise ValueError(f"{v!r} is supported off the algebra's atoms")
         code = 0
         for a, fiber in v.fibers.items():
-            code |= self._mask(fiber) << shifts[a]
+            code |= self.mask(fiber) << shifts[a]
         return code
 
     def decode(self, code: int) -> ConditionalSet:
@@ -234,7 +235,7 @@ class MaskCodec:
         for a in self.atoms:
             m = code & full
             if m:
-                fibers[a] = self._fiber(m)
+                fibers[a] = self.fiber(m)
             code >>= n
         return ConditionalSet._of(fibers)
 
@@ -244,7 +245,17 @@ class MaskCodec:
         of the sets the codes encode, and every concatenation arises so."""
         return [{c & f for c in codes} for f in self.fields]
 
-    def _mask(self, fiber: frozenset) -> int:
+    def at(self, atom: str, masks: Iterable[int]) -> list[int]:
+        """The codes of the point masks ``masks`` placed at ``atom``."""
+        return [m << self._shifts[atom] for m in masks]
+
+    def mixes(self, options: Sequence[Iterable[int]]) -> Iterator[ConditionalSet]:
+        """Decode each sum of one code per atom, in product order; the codes
+        in ``options[i]`` lie in ``fields[i]``, and 0 leaves atom i off the support."""
+        return map(self.decode, map(sum, product(*options)))
+
+    def mask(self, fiber: frozenset) -> int:
+        """The point mask of ``fiber``: bit ``j`` for point ``j``."""
         try:
             m = sum(self._bits[p] for p in fiber)
         except KeyError:
@@ -252,23 +263,12 @@ class MaskCodec:
         self._fibers.setdefault(m, fiber)
         return m
 
-    def _fiber(self, m: int) -> frozenset:
-        try:
-            return self._fibers[m]
-        except KeyError:
+    def fiber(self, m: int) -> frozenset:
+        """The points of point mask ``m``, one shared frozenset per mask."""
+        fiber = self._fibers.get(m)
+        if fiber is None:
             fiber = self._fibers[m] = frozenset(p for p, bit in self._bits.items() if m & bit)
-            return fiber
-
-
-def _mixes(atoms: Sequence[str], options: Sequence[Sequence[frozenset | None]]) -> Iterator[ConditionalSet]:
-    """Every conditional set that takes one option per atom, in product order.
-
-    ``options[i]`` lists the choices at ``atoms[i]``: a nonempty fiber,
-    or None for leaving the atom off the support.  This is the one
-    enumeration of conditional sets from per-atom choices.
-    """
-    for combo in product(*options):
-        yield ConditionalSet._of({a: f for a, f in zip(atoms, combo) if f is not None})
+        return fiber
 
 
 def membership_event(x: PointFun, v: ConditionalSet) -> Event:
@@ -358,9 +358,9 @@ class CondSpace:
 
     def all_sets(self) -> Iterator[ConditionalSet]:
         """Enumerate the whole conditional power set (exponential; small spaces only)."""
-        pts = self.space.points
-        fibers = [frozenset(p for i, p in enumerate(pts) if mask >> i & 1) for mask in range(1, 1 << len(pts))]
-        yield from _mixes(self.algebra.atoms, [(None, *fibers)] * len(self.algebra.atoms))
+        codec = MaskCodec(self)
+        masks = range(1 << len(self.space.points))
+        yield from codec.mixes([codec.at(a, masks) for a in self.algebra.atoms])
 
 
 def product_space(left: GroundSpace, right: GroundSpace) -> GroundSpace:

@@ -104,10 +104,13 @@ class SubAlgebra:
     __slots__ = ("algebra", "blocks", "labels", "quotient", "_label_of")
 
     def __init__(self, algebra: MeasureAlgebra, blocks: Sequence[Iterable[str]]):
-        blocks = [tuple(sorted(b, key=algebra.index)) for b in blocks]
-        if not algebra.is_partition([frozenset(b) for b in blocks]):
+        # checked first: sorting needs known atoms and a first atom per block
+        events = [frozenset(b) for b in blocks]
+        if not all(events):
+            raise ValueError("sub-algebra blocks must be nonempty")
+        if not algebra.is_partition(events):
             raise ValueError("sub-algebra blocks must partition the atoms")
-        blocks.sort(key=lambda b: algebra.index(b[0]))
+        blocks = sorted((tuple(sorted(ev, key=algebra.index)) for ev in events), key=lambda b: algebra.index(b[0]))
         self.algebra = algebra
         self.blocks = tuple(frozenset(b) for b in blocks)
         self.labels = tuple("+".join(b) for b in blocks)

@@ -205,23 +205,23 @@ def sample_members(domain, cap: int, seed: int = 0) -> list[ConditionalSet]:
     """A deterministic spread of domain members, exhaustive when small.
 
     A sampled member draws, at each atom with k blocks, one index below
-    2^k and reads its bits as the blocks of its fiber; index 0 leaves the
-    atom off the support.  That is the draw `random.choice` makes on the
-    atom's option list (`atom_options`), without listing its 2^k options.
+    2^k and takes `SetRing.member(index)`, off the support at index 0.
+    That is the draw `random.choice` makes on `list(ring.members())`,
+    without building the list.
     """
     if domain.member_count() <= cap:
         return list(domain.members())
     rng = random.Random(seed)
     atoms = domain.algebra.atoms
-    blocks = [domain.ring_at(a).blocks for a in atoms]
+    rings = [domain.ring_at(a) for a in atoms]
     # the first member in enumeration order, every atom off the support
     out = {BOTTOM}
     while len(out) < cap:
         fibers = {}
-        for a, bs in zip(atoms, blocks):
-            index = rng.randrange(1 << len(bs))
+        for a, ring in zip(atoms, rings):
+            index = rng.randrange(1 << len(ring.blocks))
             if index:
-                fibers[a] = frozenset().union(*(b for i, b in enumerate(bs) if index >> i & 1))
+                fibers[a] = ring.member(index)
         out.add(ConditionalSet._of(fibers))
     return sorted(out, key=repr)
 

@@ -13,9 +13,10 @@ The member-level closure (`generate_dynkin`,
 one int per conditional set (`condsets.MaskCodec`): complement, union,
 difference and disjointness are single integer operations, and the
 concatenations of a family are the product of its `MaskCodec.parts`.
-`generate_sigma` runs its per-atom option fixpoint on point bitmasks,
-one int per fiber, and `SetRing.from_members` decides closure by a
-count: a listed ring has exactly ``2**k`` members for its ``k`` blocks.
+`_close` is the one complement/union fixpoint: per atom on point masks
+in `generate_sigma`, and on whole codes in `_member_closure`.
+`SetRing.from_members` decides closure by a count: a listed ring has
+exactly ``2**k`` members for its ``k`` blocks.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable, Iterator, Mapping
 
 from . import classical
 from .algebra import MeasureAlgebra
-from .condsets import CondSpace, ConditionalSet, GroundSpace, MaskCodec, Point, _mixes
+from .condsets import CondSpace, ConditionalSet, GroundSpace, MaskCodec, Point
 
 # No longer called here, since the member loops run on masks; the binding
 # stays because `bench/selftest` checks that the tracer swaps it here.
@@ -91,9 +92,12 @@ class SetRing:
             return False
         return all(not (b & s) or b <= s for b in self.blocks)
 
+    def member(self, index: int) -> frozenset:
+        """The union of the blocks whose bits are set in ``index``."""
+        return frozenset().union(*(b for i, b in enumerate(self.blocks) if index >> i & 1))
+
     def members(self) -> Iterator[frozenset]:
-        for mask in range(1 << len(self.blocks)):
-            yield frozenset().union(*(b for i, b in enumerate(self.blocks) if mask >> i & 1))
+        return map(self.member, range(1 << len(self.blocks)))
 
     def member_count(self) -> int:
         return 1 << len(self.blocks)
@@ -141,14 +145,12 @@ class _PerAtomFamily:
         per_atom = self.per_atom
         return all(a in per_atom and per_atom[a].contains(f) for a, f in v.fibers.items())
 
-    def atom_options(self, atom: str) -> list[frozenset | None]:
-        """A member's choices at one atom: None (off the support), then
-        every nonempty member of that atom's collection."""
-        return [None, *(m for m in self.per_atom[atom].members() if m)]
-
     def members(self) -> Iterator[ConditionalSet]:
-        """All members, by mixing per-atom options (exponential; small use only)."""
-        yield from _mixes(self.algebra.atoms, [self.atom_options(a) for a in self.algebra.atoms])
+        """All members, mixing per-atom members; the empty one is off the
+        support (exponential; small use only)."""
+        codec = MaskCodec(self.cspace)
+        options = [codec.at(a, map(codec.mask, self.per_atom[a].members())) for a in self.algebra.atoms]
+        yield from codec.mixes(options)
 
     def member_count(self) -> int:
         n = 1
@@ -216,7 +218,7 @@ def mix_closure(cspace: CondSpace, members: Iterable[ConditionalSet]) -> frozens
     the sums of one `MaskCodec.parts` part per atom."""
     codec = MaskCodec(cspace)
     codes = {codec.encode(v) for v in members}
-    return frozenset(codec.decode(sum(mix)) for mix in product(*codec.parts(codes)))
+    return frozenset(codec.mixes(codec.parts(codes)))
 
 
 def _stable_codes(cspace: CondSpace, members: Iterable[ConditionalSet]) -> tuple[MaskCodec, set] | None:
@@ -266,36 +268,38 @@ def classify(cspace: CondSpace, members: Iterable[ConditionalSet]) -> str:
     return "none"
 
 
+def _close(family: set[int], fresh: Iterable[int], top: int, *, disjoint_unions: bool) -> None:
+    """Close ``family`` in place under complement ``top ^ x`` and union
+    ``x | y`` (of disjoint pairs, ``x & y == 0``, when ``disjoint_unions``).
+    Semi-naive: each round pairs only the codes new in the last round,
+    starting from ``fresh``, with all codes."""
+    while fresh:
+        listed = list(family)
+        if disjoint_unions:
+            additions = {m | k for m in fresh for k in listed if not m & k}
+        else:
+            additions = {m | k for m in fresh for k in listed}
+        additions.update(top ^ m for m in fresh)
+        additions -= family
+        family |= additions
+        fresh = additions
+
+
 def _member_closure(cspace: CondSpace, seeds: Iterable[ConditionalSet], *, disjoint_unions: bool) -> frozenset:
     """Least fixpoint of complement, (disjoint) pairwise union and concatenation.
 
-    Runs on one int per set (`MaskCodec`): the complement of a set is
-    ``top ^ x``, a union is ``x | y``, two sets are disjoint when
-    ``x & y`` is 0, and the concatenations of a family are the sums of
-    one part per atom (`MaskCodec.parts`).  The conditional sets are
-    built once, from the fixpoint.
+    Runs on one int per set (`MaskCodec`): `_close` and the concatenations,
+    the sums of one part per atom (`MaskCodec.parts`), take turns until
+    neither adds a code.  The conditional sets are built once, at the end.
     """
     codec = MaskCodec(cspace)
-    top = codec.top
     family = {codec.encode(v) for v in seeds}
-    family.add(top)
+    family.add(codec.top)
     fresh = list(family)
     while fresh:
-        additions: set[int] = set()
-        snapshot = list(family)
-        for m in fresh:
-            additions.add(top ^ m)
-            for k in snapshot:
-                if disjoint_unions and m & k:
-                    continue
-                additions.add(m | k)
-        additions -= family
-        family |= additions
-        for m in map(sum, product(*codec.parts(family))):
-            if m not in family:
-                additions.add(m)
-                family.add(m)
-        fresh = list(additions)
+        _close(family, fresh, codec.top, disjoint_unions=disjoint_unions)
+        fresh = {m for m in map(sum, product(*codec.parts(family))) if m not in family}
+        family |= fresh
     return frozenset(map(codec.decode, family))
 
 
@@ -310,39 +314,24 @@ def generate_sigma(cspace: CondSpace, generator: Iterable[ConditionalSet]) -> St
     Computed per atom: the option set (absent marker plus fibers) is
     closed under the lifted complement and union, which is the same
     fixpoint as the member-level closure but without re-enumerating
-    cross-atom pairs.  An option is a point bitmask, bit ``i`` for
-    ``space.points[i]``: the absent marker is 0 and the full fiber
-    ``e``, so the lifted complement is ``e ^ o`` and the lifted union
-    ``o | k``.  The fixpoint is semi-naive, as in `_member_closure`:
-    each round pairs only the options new in the last round with all
-    of them.  The members are decoded once, and `SetRing.from_members`
-    checks their closure by a count.
+    cross-atom pairs.  An option is a point mask (`MaskCodec.mask`), the
+    absent marker 0, and `_close` runs with the full fiber ``e`` as its
+    top.  `SetRing.from_members` checks the members' closure by a count.
     """
-    points = cspace.space.points
-    bits = {p: 1 << i for i, p in enumerate(points)}
-    e = (1 << len(points)) - 1
-    atoms = cspace.algebra.atoms
-    options: dict[str, set[int]] = {a: {e} for a in atoms}
+    codec = MaskCodec(cspace)
+    e = codec.mask(cspace.space.point_set)
+    options: dict[str, set[int]] = {a: {e} for a in cspace.algebra.atoms}
     for v in generator:
         if not cspace.contains(v):
             raise ValueError("generator member outside the conditional power set")
         # an atom off the support would add the absent marker 0, which
         # every option set reaches anyway as the complement of e
         for a, fiber in v.fibers.items():
-            options[a].add(sum(bits[p] for p in fiber))
+            options[a].add(codec.mask(fiber))
     per_atom: dict[str, SetRing] = {}
-    for a in atoms:
-        opts = options[a]
-        fresh = list(opts)
-        while fresh:
-            listed = list(opts)
-            additions = {o | k for o in fresh for k in listed}
-            additions.update(e ^ o for o in fresh)
-            additions -= opts
-            opts |= additions
-            fresh = list(additions)
-        members = [frozenset(p for p, bit in bits.items() if o & bit) for o in opts]
-        per_atom[a] = SetRing.from_members(members)
+    for a, opts in options.items():
+        _close(opts, list(opts), e, disjoint_unions=False)
+        per_atom[a] = SetRing.from_members(map(codec.fiber, opts))
     return StableSigmaAlgebra(cspace, per_atom)
 
 

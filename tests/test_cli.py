@@ -83,6 +83,28 @@ class TestRun:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: {location}: expected ")
 
+    @pytest.mark.parametrize(
+        "parity, message",
+        [
+            ([["a1", "a2", "a3", "a4", "a5", "a6"], []], "sub-algebra blocks must be nonempty"),
+            ([["a1", "a3", "a5"], ["a2", "a4", "a6", "zz"]], "unknown atoms in event: ['zz']"),
+        ],
+        ids=["empty-block", "unknown-atom"],
+    )
+    def test_malformed_grouping_is_a_named_error(self, tmp_path, parity, message):
+        doc = json.loads(Path(scenario("dice")).read_text())
+        doc["subalgebras"]["parity"] = parity
+        path = tmp_path / "grouping.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "condmeasure.cli", "run", str(path)],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: subalgebras.parity: {message}\n"
+
     def test_broken_implementation_fails_verification(self, capsys):
         # a query whose oracle disagrees must flip the exit code, not crash
         with verify.inject_fault("cond-expect-unnormalized"):

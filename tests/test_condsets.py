@@ -17,7 +17,7 @@ from condmeasure import (
     membership_event,
     product_space,
 )
-from condmeasure.condsets import MaskCodec, _mixes
+from condmeasure.condsets import MaskCodec
 from condmeasure.verify import Draw, Size
 
 
@@ -150,6 +150,9 @@ class TestEnumeration:
 
     def test_enumerator_is_the_plain_product(self):
         atoms = ("a1", "a2", "a3")
+        cspace = CondSpace(MeasureAlgebra.uniform(list(atoms)), GroundSpace((1, 2, 3)))
+        codec = MaskCodec(cspace)
+        # None leaves the atom off the support, in any position of the list
         options = [[None, frozenset({1})], [frozenset({2}), None, frozenset({1, 2})], [None, frozenset({3})]]
         want = []
         for x in options[0]:
@@ -157,7 +160,8 @@ class TestEnumeration:
                 for z in options[2]:
                     fibers = {a: f for a, f in zip(atoms, (x, y, z)) if f is not None}
                     want.append(ConditionalSet(fibers.keys(), fibers))
-        got = list(_mixes(atoms, options))
+        codes = [codec.at(a, (codec.mask(f or frozenset()) for f in opts)) for a, opts in zip(atoms, options)]
+        got = list(codec.mixes(codes))
         assert got == want
         assert [repr(v) for v in got] == [repr(v) for v in want]
 

@@ -148,6 +148,15 @@ class TestSubAlgebra:
         with pytest.raises(ValueError):
             SubAlgebra(dice["algebra"], [["a1", "a2"], ["a2", "a3", "a4", "a5", "a6"]])
 
+    def test_blocks_are_checked_before_they_are_sorted(self, dice):
+        algebra = dice["algebra"]
+        with pytest.raises(ValueError, match="^sub-algebra blocks must be nonempty$"):
+            SubAlgebra(algebra, [list(algebra.atoms), []])
+        with pytest.raises(ValueError, match=r"^unknown atoms in event: \['zz'\]$"):
+            SubAlgebra(algebra, [["a1", "a3", "a5"], ["a2", "a4", "a6", "zz"]])
+        with pytest.raises(ValueError, match="^sub-algebra blocks must partition the atoms$"):
+            SubAlgebra(algebra, [["a1", "a3", "a5"], ["a2", "a4"]])
+
     def test_spread_to_atoms(self, dice):
         parity = dice["parity"]
         g = Field(parity.quotient, {"a1+a3+a5": Fraction(3), "a2+a4+a6": Fraction(4)})

@@ -41,17 +41,18 @@ def mk(space, fibers):
 
 
 def listed_sample(domain, cap, seed=0):
-    """`sample_members` drawn from each atom's listed options: the
-    reference that the bit-decoding sampler must reproduce."""
+    """`sample_members` drawn from each atom's listed ring members, the
+    empty one leaving the atom off the support: the reference that the
+    bit-decoding sampler must reproduce."""
     if domain.member_count() <= cap:
         return list(domain.members())
     rng = random.Random(seed)
     atoms = domain.algebra.atoms
-    options = [domain.atom_options(a) for a in atoms]
+    options = [list(domain.ring_at(a).members()) for a in atoms]
     out = {BOTTOM}
     while len(out) < cap:
         choices = [rng.choice(opts) for opts in options]
-        out.add(ConditionalSet._of({a: f for a, f in zip(atoms, choices) if f is not None}))
+        out.add(ConditionalSet._of({a: f for a, f in zip(atoms, choices) if f}))
     return sorted(out, key=repr)
 
 

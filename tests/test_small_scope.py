@@ -9,6 +9,11 @@ uses another algorithm:
   points.  It must equal `fiberwise_sigma_oracle` (signature blocks per
   atom), and its members must equal `generate_sigma_extensional` (the
   member-level closure with concatenations).
+- `generate_dynkin` and `generate_sigma_extensional`, on the same
+  families, against a fixpoint written on `ConditionalSet`s: it adds
+  `CondSpace.complement`s, `cond_union`s of every pair (of every pair
+  with disjoint fibers, for the Dynkin system) and `CondSpace.concatenate`
+  along every partition of the atoms, and uses no `MaskCodec` code.
 - `SetRing.from_members`, which decides closure by a count, on every
   family of subsets of a universe of 1, 2 or 3 points, and on seeded
   families on 4 and 5 points.  The reference is the definition: the
@@ -43,6 +48,7 @@ uses another algorithm:
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations, product
 
 import pytest
@@ -65,13 +71,14 @@ from condmeasure import (
     concatenate_integrands,
     cond_difference,
     cond_intersection,
+    cond_union,
     fiberwise_sigma_oracle,
     generate_sigma,
     indicator,
     is_caratheodory_measurable,
     radon_nikodym,
 )
-from condmeasure.sigma import generate_sigma_extensional, mix_closure
+from condmeasure.sigma import generate_dynkin, generate_sigma_extensional, mix_closure
 
 #: (atoms, points, largest number of generators) of every sigma scope.
 SIGMA_SCOPES = ((1, 1, 3), (1, 2, 3), (1, 3, 3), (2, 2, 3), (2, 3, 2))
@@ -97,6 +104,72 @@ def test_generate_sigma_equals_both_oracles_on_every_family(atoms, points, most)
             sig = generate_sigma(cspace, gen)
             assert sig == fiberwise_sigma_oracle(cspace, gen), gen
             assert frozenset(sig.members()) == generate_sigma_extensional(cspace, gen), gen
+
+
+class SetOps:
+    """The operations of a stable closure, computed on the `ConditionalSet`s
+    of one space and remembered across families.  Each set seen is kept
+    once, under its index in ``sets``, and the operations take and return
+    those indices, so that looking one up hashes ints."""
+
+    def __init__(self, cspace: CondSpace):
+        sets: list[ConditionalSet] = []
+        index: dict[ConditionalSet, int] = {}
+
+        def intern(v: ConditionalSet) -> int:
+            if v not in index:
+                index[v] = len(sets)
+                sets.append(v)
+            return index[v]
+
+        self.sets, self.intern = sets, intern
+        self.top = intern(cspace.top)
+        self.partitions = [tuple(part) for part in set_partitions(cspace.algebra.atoms)]
+        self.events = sorted({ev for part in self.partitions for ev in part}, key=sorted)
+        self.complement = cache(lambda i: intern(cspace.complement(sets[i])))
+        self.union = cache(lambda i, j: intern(cond_union([sets[i], sets[j]])))
+        self.disjoint = cache(
+            lambda i, j: all(not sets[i].fibers[a] & sets[j].fibers[a] for a in sets[i].support & sets[j].support)
+        )
+        self.restrict = cache(lambda i, ev: intern(sets[i].restrict(ev)))
+        self.paste = cache(lambda chosen, part: intern(cspace.concatenate([sets[i] for i in chosen], part)))
+
+    def closure(self, family, *, disjoint_unions: bool) -> frozenset:
+        """The least family that holds ``family`` and the top and is closed
+        under complement, union of (disjoint) pairs and concatenation.
+        Semi-naive: each round takes at least one set new in the last."""
+        closed = {self.top, *map(self.intern, family)}
+        fresh = set(closed)
+        while fresh:
+            listed = list(closed)
+            new = {self.complement(i) for i in fresh}
+            if disjoint_unions:
+                new.update(self.union(i, j) for i in fresh for j in listed if self.disjoint(i, j))
+            else:
+                new.update(self.union(i, j) for i in fresh for j in listed)
+            # a concatenation reads each piece on its own event only, so
+            # the pieces are the distinct restrictions to the events
+            pieces = {ev: {self.restrict(i, ev) for i in listed} for ev in self.events}
+            fresh_pieces = {ev: {self.restrict(i, ev) for i in fresh} for ev in self.events}
+            for part in self.partitions:
+                for k, ev in enumerate(part):
+                    choices = [pieces[e] for e in part]
+                    choices[k] = fresh_pieces[ev]
+                    new.update(self.paste(chosen, part) for chosen in product(*choices))
+            fresh = new - closed
+            closed |= fresh
+        return frozenset(self.sets[i] for i in closed)
+
+
+@pytest.mark.parametrize("atoms, points, most", SIGMA_SCOPES)
+def test_member_closures_equal_a_fixpoint_on_conditional_sets(atoms, points, most):
+    cspace = cspace_of(atoms, points)
+    ops = SetOps(cspace)
+    sets = list(cspace.all_sets())
+    for k in range(most + 1):
+        for gen in combinations(sets, k):
+            assert generate_dynkin(cspace, gen) == ops.closure(gen, disjoint_unions=True), gen
+            assert generate_sigma_extensional(cspace, gen) == ops.closure(gen, disjoint_unions=False), gen
 
 
 def closed(family) -> bool:
