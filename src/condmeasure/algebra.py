@@ -85,14 +85,22 @@ def ext_sub(a: ExtValue, b: ExtValue) -> ExtValue:
 
 
 def ext_mul(a: ExtValue, b: ExtValue) -> ExtValue:
-    # Convention: zero absorbs infinity, so 0 * inf = 0.
-    if a == 0 or b == 0:
-        return Fraction(0)
+    """The extended product of rationals (`Fraction` or `int`) and INF.
+
+    A finite product is one `Fraction` of the integer products, reduced
+    by one gcd.  Zero absorbs infinity, so 0 * inf = 0; a negative times
+    infinity is undefined.
+    """
     if a is INF or b is INF:
-        if (a is not INF and a < 0) or (b is not INF and b < 0):
+        x = b if a is INF else a
+        if x is INF:
+            return INF
+        if not x.numerator:
+            return Fraction(0)
+        if x.numerator < 0:
             raise ValueError("undefined extended product: negative times infinity")
         return INF
-    return a * b
+    return Fraction(a.numerator * b.numerator, a.denominator * b.denominator)
 
 
 class Ratio:

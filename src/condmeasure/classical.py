@@ -100,13 +100,15 @@ def integral(point_masses: Mapping, g: Mapping) -> ExtValue:
 
     Positive and negative parts are summed separately; a signed
     integrand with an infinite part raises, mirroring non-integrability.
+    A value's sign is read off its numerator.
     """
     pos, neg = [], []
     for p, x in g.items():
-        x = Fraction(x)
-        if x > 0:
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        if x.numerator > 0:
             pos.append(ext_mul(x, point_masses[p]))
-        elif x < 0:
+        elif x.numerator < 0:
             neg.append(ext_mul(-x, point_masses[p]))
     return ext_sub(ext_sum(pos), ext_sum(neg))
 

@@ -1,6 +1,8 @@
 """Products of stable measures, iterated integrals and exact densities.
 
-Product sigma-algebras carry rectangle blocks per atom.  The paper
+Product sigma-algebras carry rectangle blocks per atom; `product_sigma`
+builds them through the trusted constructors, since rectangles of
+disjoint factor blocks are disjoint and cover the product.  The paper
 defines the product measure, and the joint law of a source measure
 with a Markov kernel, by integrating section masses; in the finite
 model that integral collapses on each rectangle block to the left
@@ -11,15 +13,24 @@ the swap of iterated integrals, the positive set of a difference of
 measures, exact density recovery with a full certificate, one
 improvement step of the density-climbing argument, and the finite
 representation of positive stable linear functionals as integrals.
+
+`fubini` builds no section integrands: after the joint integral has
+validated the integrand, each iterated integral is a block sum per
+atom over one point of each factor block, inner then outer, on
+integer numerators.  The joint integral measures the product on the
+integrand's own sigma-algebra when that is already the rectangle
+algebra of the factors, so a query that built that algebra for its
+integrand does not build it again.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Mapping
+from itertools import product
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .algebra import Field, ext_mul, ext_sum
+from .algebra import Field, Ratio, ext_mul, ext_sum
 from .condsets import CondSpace, ConditionalSet, PointFun, product_space
 from .integral import Integrand, concatenate_integrands, indicator, integrate
 from .measure import StableMeasure, _fiber_mass
@@ -27,19 +38,52 @@ from .sigma import SetRing, StableSigmaAlgebra
 
 
 def product_sigma(sx: StableSigmaAlgebra, sy: StableSigmaAlgebra) -> StableSigmaAlgebra:
-    """Rectangle blocks: one block per pair of factor blocks, per atom."""
+    """Rectangle blocks: one block per pair of factor blocks, per atom.
+
+    Rectangles of disjoint factor blocks are disjoint and cover the
+    product, so the rings and the algebra are built trusted.  Each ring
+    lists its blocks in `SetRing`'s order, by the sorted ``str`` of their
+    points; that ``str`` is taken once per product point.
+    """
     if sx.algebra != sy.algebra:
         raise ValueError("factors live over different measure algebras")
     pspace = CondSpace(sx.algebra, product_space(sx.space, sy.space))
+    covered = pspace.space.point_set
+    name = {pq: str(pq) for pq in pspace.space.points}.__getitem__
     per_atom = {}
     for a in sx.algebra.atoms:
-        blocks = [
-            frozenset((p, q) for p in bx for q in by)
-            for bx in sx.blocks(a)
-            for by in sy.blocks(a)
-        ]
-        per_atom[a] = SetRing(blocks)
-    return StableSigmaAlgebra(pspace, per_atom)
+        blocks = [frozenset(product(bx, by)) for bx in sx.blocks(a) for by in sy.blocks(a)]
+        blocks.sort(key=lambda b: sorted(map(name, b)))
+        per_atom[a] = SetRing._of(tuple(blocks), covered)
+    return StableSigmaAlgebra._of(pspace, per_atom)
+
+
+def _is_rectangle_algebra(sigma: StableSigmaAlgebra, sx: StableSigmaAlgebra, sy: StableSigmaAlgebra) -> bool:
+    """Whether ``sigma`` is `product_sigma(sx, sy)`: the same algebra and
+    product space, and at every atom one block per pair of factor blocks,
+    each block exactly the rectangle ``bx x by`` of the blocks of its
+    points."""
+    algebra = sx.algebra
+    if not (sigma.algebra == algebra == sy.algebra):
+        return False
+    if sigma.space.points != tuple(product(sx.space.points, sy.space.points)):
+        return False
+    return all(
+        len(sigma.blocks(a)) == len(sx.blocks(a)) * len(sy.blocks(a))
+        and all(b == frozenset(product(bx, by)) for b, bx, by in _block_pairs(sigma, sx, sy, a))
+        for a in algebra.atoms
+    )
+
+
+def _block_pairs(psigma: StableSigmaAlgebra, sx: StableSigmaAlgebra, sy: StableSigmaAlgebra, a: str) -> Iterator:
+    """Each block b of ``psigma`` at atom ``a`` with the pair (bx, by) of
+    factor blocks that holds one of its points, read through point-to-block
+    maps of the two factors."""
+    left = {p: bx for bx in sx.blocks(a) for p in bx}
+    right = {q: by for by in sy.blocks(a) for q in by}
+    for b in psigma.blocks(a):
+        p, q = next(iter(b))
+        yield b, left[p], right[q]
 
 
 def section_at(z: ConditionalSet, x: PointFun) -> ConditionalSet:
@@ -75,28 +119,36 @@ def section_mass_integrand(z: ConditionalSet, nu: StableMeasure, sx: StableSigma
 
 def _rectangle_measure(
     mu: StableMeasure,
+    psigma: StableSigmaAlgebra,
     sy: StableSigmaAlgebra,
     right_mass: Callable[[str, frozenset, frozenset], Fraction],
 ) -> StableMeasure:
-    """Mass mu(bx) * right_mass(a, bx, by) on each rectangle block bx x by, per atom.
+    """Mass mu(bx) * right_mass(a, bx, by) on each block bx x by of
+    ``psigma``, the rectangle algebra of mu's domain and ``sy``, per atom.
 
-    Each block of `product_sigma` is read as its pair (bx, by) off one of
-    its points, through point-to-block maps of the two factors, so no
+    Each block is read as its pair (bx, by) by `_block_pairs`, so no
     rectangle is built a second time.
     """
-    sx = mu.domain
-    psigma = product_sigma(sx, sy)
     table: dict[str, dict[frozenset, Fraction]] = {}
     for a in psigma.algebra.atoms:
-        left = {p: bx for bx in sx.blocks(a) for p in bx}
-        right = {q: by for by in sy.blocks(a) for q in by}
         masses = mu.block_mass[a]
-        row = table[a] = {}
-        for b in psigma.blocks(a):
-            p, q = next(iter(b))
-            bx, by = left[p], right[q]
-            row[b] = ext_mul(masses[bx], right_mass(a, bx, by))
+        table[a] = {
+            b: ext_mul(masses[bx], right_mass(a, bx, by)) for b, bx, by in _block_pairs(psigma, mu.domain, sy, a)
+        }
     return StableMeasure(psigma, table)
+
+
+def _product_measure(mu: StableMeasure, nu: StableMeasure, sigma: StableSigmaAlgebra | None) -> StableMeasure:
+    """`product_measure`, on ``sigma`` when that is already the rectangle
+    algebra of the two factors, and on a new `product_sigma` otherwise."""
+    sx, sy = mu.domain, nu.domain
+    if not isinstance(sx, StableSigmaAlgebra) or not isinstance(sy, StableSigmaAlgebra):
+        raise ValueError("product factors must live on sigma-algebras")
+    if not (mu.is_finite() and nu.is_finite()):
+        raise ValueError("product needs finite factors")
+    if sigma is None or not _is_rectangle_algebra(sigma, sx, sy):
+        sigma = product_sigma(sx, sy)
+    return _rectangle_measure(mu, sigma, sy, lambda a, bx, by: nu.block_mass[a][by])
 
 
 def product_measure(mu: StableMeasure, nu: StableMeasure) -> StableMeasure:
@@ -105,45 +157,45 @@ def product_measure(mu: StableMeasure, nu: StableMeasure) -> StableMeasure:
     This is the integral of the section-mass integrand of the rectangle
     against mu, taken block by block.
     """
-    sx, sy = mu.domain, nu.domain
-    if not isinstance(sx, StableSigmaAlgebra) or not isinstance(sy, StableSigmaAlgebra):
-        raise ValueError("product factors must live on sigma-algebras")
-    if not (mu.is_finite() and nu.is_finite()):
-        raise ValueError("product needs finite factors")
-    return _rectangle_measure(mu, sy, lambda a, bx, by: nu.block_mass[a][by])
+    return _product_measure(mu, nu, None)
+
+
+def _mass_sum(terms: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
+    """The sum of value times mass over finite (value, mass) pairs: one
+    unreduced `Ratio` per nonzero value, summed by `ext_sum`."""
+    return ext_sum(
+        Ratio(v.numerator * m.numerator, v.denominator * m.denominator) for v, m in terms if v.numerator
+    )
 
 
 def fubini(f: Integrand, mu: StableMeasure, nu: StableMeasure) -> tuple[Field, Field, Field]:
     """Iterated-left, iterated-right and joint integrals of a product integrand.
 
-    The joint integral runs first and validates f; the section and
-    iterated integrands are then built with the trusted `Integrand._of`,
-    and every integral sums on integer numerators (`integrate`).
+    The joint integral runs first and validates f.  Its product measure
+    lives on f's own sigma-algebra when that is already the rectangle
+    algebra of the factors; otherwise `product_sigma` builds it.  The
+    iterated integrals are then block sums on integer numerators
+    (`_mass_sum`), inner then outer, over one point of each factor block.
     """
-    sx, sy = mu.domain, nu.domain
-    joint = integrate(f, product_measure(mu, nu))
+    joint = integrate(f, _product_measure(mu, nu, f.sigma))
     # The joint integral has proved that f covers every pair (p, q) and is
-    # constant on every rectangle bx x by.  So each section f(p, .) is
-    # constant on each by, and p -> integral of f(p, .) d nu is constant on
-    # each bx, because the points of one bx have equal sections; the same
-    # holds with the factors swapped.  Every integrand below is therefore
-    # measurable, and holds exact rationals: the factors are finite.
-    atoms, rows = sx.algebra.atoms, f.values
-    left_values: dict[str, dict] = {a: {} for a in atoms}
-    for p in sx.space.points:
-        section = {a: {q: rows[a][(p, q)] for q in sy.space.points} for a in atoms}
-        inner = integrate(Integrand._of(sy, section), nu)
-        for a in atoms:
-            left_values[a][p] = inner[a]
-    left = integrate(Integrand._of(sx, left_values), mu)
-    right_values: dict[str, dict] = {a: {} for a in atoms}
-    for q in sy.space.points:
-        section = {a: {p: rows[a][(p, q)] for p in sx.space.points} for a in atoms}
-        inner = integrate(Integrand._of(sx, section), mu)
-        for a in atoms:
-            right_values[a][q] = inner[a]
-    right = integrate(Integrand._of(sy, right_values), nu)
-    return left, right, joint
+    # constant on every rectangle bx x by, so f(p, q) for one p in bx and
+    # one q in by is its value on all of bx x by.  The integral of f(p, .)
+    # against nu is then the same for every p in bx, and the integral of
+    # f(., q) against mu the same for every q in by.  Both factors are
+    # finite, so every sum below is an exact rational.
+    left, right = [], []
+    for a in mu.algebra.atoms:
+        xmasses, ymasses = mu.block_mass[a], nu.block_mass[a]
+        xs, ys = [next(iter(bx)) for bx in xmasses], [next(iter(by)) for by in ymasses]
+        row = f.values[a]
+        grid = [[row[(p, q)] for q in ys] for p in xs]
+        xmass, ymass = list(xmasses.values()), list(ymasses.values())
+        inner_left = [_mass_sum(zip(line, ymass)) for line in grid]
+        inner_right = [_mass_sum(zip(column, xmass)) for column in zip(*grid)]
+        left.append(_mass_sum(zip(inner_left, xmass)))
+        right.append(_mass_sum(zip(inner_right, ymass)))
+    return Field._of(mu.algebra, tuple(left)), Field._of(nu.algebra, tuple(right)), joint
 
 
 class StableMarkovKernel:
@@ -187,7 +239,10 @@ def markov_product(kernel: StableMarkovKernel, mu: StableMeasure) -> StableMeasu
     if not mu.is_finite():
         raise ValueError("joint construction needs a finite source")
     return _rectangle_measure(
-        mu, kernel.sy, lambda a, bx, by: ext_sum(kernel.rows[a][next(iter(bx))][q] for q in by)
+        mu,
+        product_sigma(sx, kernel.sy),
+        kernel.sy,
+        lambda a, bx, by: ext_sum(kernel.rows[a][next(iter(bx))][q] for q in by),
     )
 
 

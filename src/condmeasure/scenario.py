@@ -499,13 +499,18 @@ def _field_payload(f: Field) -> dict:
 
 def _block_table(mu: StableMeasure, space: GroundSpace, point_name) -> tuple[list[str], dict[str, list]]:
     """Each block of ``mu``'s domain with its mass: one line per atom, and
-    the payload lists the block's points named by ``point_name``."""
+    the payload lists the block's points named by ``point_name``.  Each
+    point is named once per table, both ways."""
+    order = space.sort_key()
+    shown = {p: _format_point(p) for p in space.points}
+    named = {p: point_name(p) for p in space.points}
     lines = []
     payload: dict[str, list] = {}
     for a in mu.domain.algebra.atoms:
         cells = [(b, format_value(mu.block_mass[a][b])) for b in mu.domain.blocks(a)]
-        lines.append(f"{a}: " + ", ".join(f"{_format_fiber(b, space)}={mass}" for b, mass in cells))
-        payload[a] = [[sorted((point_name(p) for p in b), key=str), mass] for b, mass in cells]
+        text = ", ".join("{" + ",".join(shown[p] for p in sorted(b, key=order)) + "}=" + mass for b, mass in cells)
+        lines.append(f"{a}: {text}")
+        payload[a] = [[sorted(named[p] for p in b), mass] for b, mass in cells]
     return lines, payload
 
 

@@ -57,6 +57,15 @@ class SetRing:
         self.covered = frozenset(seen)
 
     @classmethod
+    def _of(cls, blocks: tuple, covered: frozenset) -> "SetRing":
+        """Trusted constructor: nonempty, pairwise disjoint ``blocks`` in the
+        order `__init__` sorts them into, and ``covered`` their union."""
+        out = object.__new__(cls)
+        out.blocks = blocks
+        out.covered = covered
+        return out
+
+    @classmethod
     def generated(cls, sets: Iterable[frozenset]) -> "SetRing":
         """Ring generated by arbitrary subsets: signature blocks on their union."""
         sets = [frozenset(s) for s in sets]
@@ -129,6 +138,15 @@ class _PerAtomFamily:
             raise ValueError("per-atom collections must cover every atom")
         self.cspace = cspace
         self.per_atom = dict(per_atom)
+
+    @classmethod
+    def _of(cls, cspace: CondSpace, per_atom: dict[str, SetRing]) -> "_PerAtomFamily":
+        """Trusted constructor: one ring per atom of ``cspace``, each a field
+        on its ground points when ``cls`` is `StableSigmaAlgebra`."""
+        out = object.__new__(cls)
+        out.cspace = cspace
+        out.per_atom = per_atom
+        return out
 
     @property
     def algebra(self) -> MeasureAlgebra:

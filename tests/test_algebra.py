@@ -36,6 +36,25 @@ class TestExtendedValues:
         with pytest.raises(ValueError):
             ext_mul(Fraction(-1), INF)
 
+    def test_product_is_the_fraction_product_with_the_infinity_rules(self):
+        rationals = [-2, Fraction(-1, 2), 0, Fraction(1, 3), 3]
+        grid = [*(x for x in rationals if type(x) is int), *map(Fraction, rationals), INF]
+        for x, y in itertools.product(grid, repeat=2):
+            if x is not INF and y is not INF:
+                got = ext_mul(x, y)
+                assert got == Fraction(x) * Fraction(y) and type(got) is Fraction, (x, y)
+                continue
+            finite = y if x is INF else x
+            if finite is INF or finite > 0:
+                assert ext_mul(x, y) is INF, (x, y)
+            elif finite == 0:
+                got = ext_mul(x, y)
+                assert got == 0 and type(got) is Fraction, (x, y)
+            else:
+                with pytest.raises(ValueError) as err:
+                    ext_mul(x, y)
+                assert str(err.value) == "undefined extended product: negative times infinity"
+
     def test_subtraction_guards_infinity(self):
         assert ext_sub(INF, Fraction(5)) is INF
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -28,8 +29,10 @@ from condmeasure import (
     section_at,
     section_mass_integrand,
 )
-from condmeasure import product
+from condmeasure import product, scenario
+from condmeasure.condsets import product_space
 from condmeasure.integral import concatenate_integrands
+from condmeasure.sigma import SetRing
 from condmeasure.verify import Draw, Size
 
 
@@ -310,6 +313,74 @@ class TestFubiniAgainstValidatedSections:
             assert str(trusted.value).startswith("not measurable: "), f"seed {seed}"
             rejected += 1
         assert rejected >= 20
+
+
+class TestFubiniWork:
+    def test_the_shipped_fubini_query_builds_one_product_algebra_and_integrates_once(self, monkeypatch):
+        calls = {"product_sigma": 0, "integrate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        sigma_counter = counted("product_sigma", product.product_sigma)
+        monkeypatch.setattr(product, "product_sigma", sigma_counter)
+        monkeypatch.setattr(scenario, "product_sigma", sigma_counter)
+        monkeypatch.setattr(product, "integrate", counted("integrate", product.integrate))
+        path = Path(scenario.__file__).parent / "scenarios" / "fubini.json"
+        report = scenario.run_scenario(scenario.load_scenario(str(path)))
+        assert [r.op for r in report.results] == ["fubini"]
+        assert report.verified
+        assert calls == {"product_sigma": 1, "integrate": 1}
+
+
+def validated_product_sigma(sx, sy):
+    """The rectangle algebra built through the validating constructors."""
+    pspace = CondSpace(sx.algebra, product_space(sx.space, sy.space))
+    rings = {
+        a: SetRing([frozenset((p, q) for p in bx for q in by) for bx in sx.blocks(a) for by in sy.blocks(a)])
+        for a in sx.algebra.atoms
+    }
+    return StableSigmaAlgebra(pspace, rings)
+
+
+class TestTrustedProductSigma:
+    """`product_sigma` builds its rings trusted; the validated build is the reference."""
+
+    @staticmethod
+    def assert_same_algebra(sx, sy):
+        trusted, validated = product_sigma(sx, sy), validated_product_sigma(sx, sy)
+        assert type(trusted) is StableSigmaAlgebra
+        assert trusted == validated
+        assert trusted.space == validated.space
+        for a in sx.algebra.atoms:
+            assert type(trusted.ring_at(a)) is SetRing
+            assert trusted.blocks(a) == validated.blocks(a)
+            assert trusted.ring_at(a).covered == validated.ring_at(a).covered
+        return trusted
+
+    def test_seeded_factor_pairs(self):
+        for seed in range(200):
+            _, _, sx, sy = seeded_factors(seed)
+            self.assert_same_algebra(sx, sy)
+
+    def test_block_order_is_the_str_order_of_the_product_points(self):
+        # str(("a b", 1)) sorts before str(("a", 1)), and str((p, 1)) before
+        # str((p, 10)), so this order is not the order of the factors
+        algebra = MeasureAlgebra.uniform(["a1", "a2"])
+        left = CondSpace(algebra, GroundSpace(("a", "a b")))
+        right = CondSpace(algebra, GroundSpace((1, 10)))
+        discrete = self.assert_same_algebra(StableSigmaAlgebra.discrete(left), StableSigmaAlgebra.discrete(right))
+        firsts = [next(iter(b)) for b in discrete.blocks("a1")]
+        assert firsts == [("a b", 1), ("a b", 10), ("a", 1), ("a", 10)]
+        columns = self.assert_same_algebra(StableSigmaAlgebra.trivial(left), StableSigmaAlgebra.discrete(right))
+        assert [sorted(b) for b in columns.blocks("a2")] == [[("a", 1), ("a b", 1)], [("a", 10), ("a b", 10)]]
+        mixed = StableSigmaAlgebra.from_blocks(left, {"a1": [{"a"}, {"a b"}], "a2": [{"a", "a b"}]})
+        self.assert_same_algebra(mixed, StableSigmaAlgebra.discrete(right))
+        self.assert_same_algebra(StableSigmaAlgebra.discrete(right), mixed)
 
 
 class TestHahn:
