@@ -7,6 +7,17 @@ of atom ids.  Numeric results are reported atom by atom as `Field`
 vectors whose entries are exact rationals, optionally extended with a
 single positive infinity for unbounded measures.
 
+Values enter the package through one coercion, `exact`: an `int` (not
+a `bool`) becomes a `Fraction`, a `Fraction` is kept as it is, and INF
+is kept where a value may be infinite.  Anything else, a float (even a
+whole one), a `bool` or a string, raises an `ExactValueError`, a
+`ValueError` that names the place and the value.  Every validating
+public constructor calls it: `MeasureAlgebra` weights, `Field` values
+and scale factors, `GroundSpace` coordinates, `StableMeasure` masses,
+point masses and scale factors, `Integrand` values, constants and scale
+factors, and the rows of `product.StableMarkovKernel`.  So every stored
+value is a `Fraction` or INF, and no reader converts it again.
+
 `Field(algebra, values)` validates its input: it needs a value for
 every atom.  Field arithmetic (`+`, `-`, `*`) and `StableMeasure.eval`
 build their results through the trusted `Field._of`, which takes the
@@ -144,14 +155,39 @@ def ext_sum(values: Iterable[ExtValue | int | Ratio]) -> ExtValue:
     return INF if inf else Fraction(num, den)
 
 
+class ExactValueError(ValueError, TypeError):
+    """A value that is not an `int`, a `Fraction` or, where allowed, INF.
+
+    A `ValueError` like every other rejected input; also a `TypeError`,
+    which is what a non-number given to an operator raises.
+    """
+
+
+def exact(v: object, where: str, *args: object, infinite: bool = False) -> ExtValue:
+    """The one way a value enters the package: an `int` that is not a
+    `bool` becomes a `Fraction`, a `Fraction` is kept as it is, and INF
+    is kept when ``infinite`` allows it.
+
+    Anything else raises an `ExactValueError` naming the place and the
+    value.  The place is ``where.format(*args)``, built only then.
+    """
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int) and type(v) is not bool:
+        return Fraction(v)
+    if infinite and v is INF:
+        return v
+    kinds = "an int, a Fraction or inf" if infinite else "an int or a Fraction"
+    raise ExactValueError(f"{where.format(*args)}: expected {kinds}, got {v!r}")
+
+
 def format_value(v: ExtValue) -> str:
     """Render a value the way scenario files spell it: 'p/q' or 'inf'."""
     if v is INF:
         return "inf"
-    f = v if isinstance(v, Fraction) else Fraction(v)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    if v.denominator == 1:
+        return str(v.numerator)
+    return f"{v.numerator}/{v.denominator}"
 
 
 def parse_value(text: str) -> ExtValue:
@@ -185,7 +221,7 @@ class MeasureAlgebra:
             raise ValueError("duplicate atom ids")
         w = {}
         for a, p in items:
-            p = Fraction(p)
+            p = exact(p, "weight of atom {!r}", a)
             if p <= 0:
                 raise ValueError(f"atom {a!r} has non-positive weight {p}")
             w[a] = p
@@ -279,7 +315,7 @@ class Field:
         if set(values) != set(algebra.atoms):
             raise ValueError("field must assign a value to every atom")
         self.algebra = algebra
-        self._values = tuple(values[a] for a in algebra.atoms)
+        self._values = tuple(exact(values[a], "field value at atom {!r}", a, infinite=True) for a in algebra.atoms)
 
     @classmethod
     def _of(cls, algebra: MeasureAlgebra, values: tuple) -> "Field":
@@ -329,12 +365,12 @@ class Field:
     def __mul__(self, other: "Field | ExtValue | int") -> "Field":
         if isinstance(other, Field):
             return self.map2(other, ext_mul)
-        if isinstance(other, int):
-            other = Fraction(other)
-        elif not (isinstance(other, Fraction) or other is INF):
+        from .integral import Integrand  # integral imports this module
+        if isinstance(other, Integrand):
             # an integrand scales itself by a field: `Integrand.__rmul__`
             return NotImplemented
-        return Field._of(self.algebra, tuple(ext_mul(v, other) for v in self._values))
+        r = exact(other, "field scale factor", infinite=True)
+        return Field._of(self.algebra, tuple(ext_mul(v, r) for v in self._values))
 
     __rmul__ = __mul__
 

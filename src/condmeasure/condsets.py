@@ -31,7 +31,7 @@ from functools import cached_property
 from itertools import product
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .algebra import Event, MeasureAlgebra
+from .algebra import Event, MeasureAlgebra, exact
 
 Point = Hashable
 #: A total choice of one ground point per atom.
@@ -58,8 +58,10 @@ class GroundSpace:
         if self.coords is not None:
             if set(self.coords) != set(self.points):
                 raise ValueError("coords must cover exactly the ground points")
-            if len(set(self.coords.values())) != len(self.points):
+            coords = {p: exact(c, "coordinate of point {!r}", p) for p, c in self.coords.items()}
+            if len(set(coords.values())) != len(self.points):
                 raise ValueError("coords must be injective")
+            object.__setattr__(self, "coords", coords)
 
     # Both are built once per space; cached attributes, not fields, so
     # they take no part in equality or hashing.

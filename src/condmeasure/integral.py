@@ -19,11 +19,13 @@ is the unreduced product of value and mass, an `algebra.Ratio`, so no
 `Fraction` is built per block; an infinite mass under a nonzero value
 is the term INF.
 
-`Integrand(sigma, values)` validates its input: a rational for every
-atom and ground point, constant on each block of ``sigma`` (each point
-is compared with its block's first).  Values that are already
-`Fraction`s are kept as they are.  Integrand arithmetic (`+`, `-`, `*`,
-`max2`, `min2`, `pos_part`, `neg_part`), `indicator` and
+`Integrand(sigma, values)` validates its input: a value for every atom
+and ground point, read through `algebra.exact` (an `int` or a
+`Fraction`, stored as a `Fraction`; a float, a `bool` or a string is a
+named error), constant on each block of ``sigma`` (each point is
+compared with its block's first).  `Integrand.constant` and scaling by
+a number read their value the same way.  Integrand arithmetic (`+`,
+`-`, `*`, `max2`, `min2`, `pos_part`, `neg_part`), `indicator` and
 `concatenate_integrands` build their results through the trusted
 `Integrand._of`: pointwise operations on block-constant rows are
 block-constant, an indicator of a member of ``sigma`` is constant on
@@ -38,7 +40,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .algebra import INF, Event, ExtValue, Field, Ratio, ext_sum, format_value
+from .algebra import INF, Event, ExtValue, Field, Ratio, exact, ext_sum, format_value
 from .condsets import ConditionalSet, PointFun, cond_intersection, cond_union
 from .measure import StableMeasure
 from .sigma import StableSigmaAlgebra
@@ -89,7 +91,7 @@ class Integrand:
             raise ValueError("integrand must assign values on every atom")
         table: dict[str, dict] = {}
         for a in atoms:
-            row = {p: v if type(v) is Fraction else Fraction(v) for p, v in values[a].items()}
+            row = {p: exact(v, "integrand value at atom {!r}, point {!r}", a, p) for p, v in values[a].items()}
             if row.keys() != points:
                 raise ValueError(f"integrand at atom {a!r} must cover every ground point")
             for b in sigma.blocks(a):
@@ -110,7 +112,7 @@ class Integrand:
 
     @classmethod
     def constant(cls, sigma: StableSigmaAlgebra, r) -> "Integrand":
-        r = Fraction(r)
+        r = exact(r, "integrand constant")
         return cls(sigma, {a: {p: r for p in sigma.space.points} for a in sigma.algebra.atoms})
 
     @classmethod
@@ -147,7 +149,7 @@ class Integrand:
             if not other.is_finite():
                 raise ValueError("integrands scale by finite fields only")
             return Integrand._of(self.sigma, {a: _scaled(row, other[a]) for a, row in self.values.items()})
-        r = Fraction(other)
+        r = exact(other, "integrand scale factor")
         return Integrand._of(self.sigma, {a: _scaled(row, r) for a, row in self.values.items()})
 
     def __rmul__(self, other: "Field | Fraction | int") -> "Integrand":

@@ -16,7 +16,12 @@ at each atom the generated blocks are the ring's blocks plus one block
 of the points the ring does not cover, each weighed by `mass_at`.
 
 `StableMeasure(domain, block_mass)` validates its masses against the
-domain's blocks.  `StableMeasure.eval` makes one membership pass over
+domain's blocks, each read through `algebra.exact` (an `int`, a
+`Fraction` or INF, stored as a `Fraction` or INF); `from_point_masses`
+reads its point masses the same way before it sums them.  The trusted
+`StableMeasure._of` takes a table that already holds one nonnegative
+value per block: `scale` and the rectangle measures of `product` build
+through it.  `StableMeasure.eval` makes one membership pass over
 each atom's blocks (`_fiber_mass`): a block inside the fiber joins the
 sum, while a block the fiber cuts, or a fiber point outside every
 block, makes the set unmeasurable.  `Kernel.mass`, the member table of
@@ -59,6 +64,7 @@ from .algebra import (
     ext_mul,
     ext_sub,
     ext_sum,
+    exact,
     format_value,
     is_finite,
 )
@@ -104,7 +110,7 @@ class StableMeasure:
         table: dict[str, dict[frozenset, ExtValue]] = {}
         for a in domain.algebra.atoms:
             blocks = domain.ring_at(a).blocks
-            given = dict(block_mass.get(a, {}))
+            given = {b: exact(m, "mass at atom {!r}", a, infinite=True) for b, m in block_mass.get(a, {}).items()}
             if set(given) != set(blocks):
                 raise ValueError(f"masses at atom {a!r} must cover exactly the domain blocks")
             for b, m in given.items():
@@ -114,11 +120,20 @@ class StableMeasure:
         self.block_mass = table
 
     @classmethod
+    def _of(cls, domain, table: dict[str, dict[frozenset, ExtValue]]) -> "StableMeasure":
+        """Trusted constructor: ``table`` holds, per atom, one nonnegative
+        `Fraction` or INF per block of the domain."""
+        out = object.__new__(cls)
+        out.domain = domain
+        out.block_mass = table
+        return out
+
+    @classmethod
     def from_point_masses(cls, domain, point_mass: Mapping[str, Mapping]) -> "StableMeasure":
         """Sum per-point masses into block masses; finer input is allowed."""
         table = {}
         for a in domain.algebra.atoms:
-            pm = point_mass[a]
+            pm = {p: exact(m, "point mass of {!r} at atom {!r}", p, a, infinite=True) for p, m in point_mass[a].items()}
             table[a] = {b: ext_sum(pm[p] for p in b) for b in domain.ring_at(a).blocks}
         return cls(domain, table)
 
@@ -172,14 +187,16 @@ class StableMeasure:
     def is_finite(self) -> bool:
         return self.total().is_finite()
 
-    def scale(self, r: "Field | Fraction | int") -> "StableMeasure":
+    def scale(self, r: "Field | ExtValue | int") -> "StableMeasure":
+        if not isinstance(r, Field):
+            r = Field.constant(self.algebra, exact(r, "measure scale factor", infinite=True))
         table = {}
         for a in self.algebra.atoms:
-            factor = r[a] if isinstance(r, Field) else Fraction(r)
+            factor = r[a]
             if factor is not INF and factor < 0:
                 raise ValueError("negative scaling of a measure")
             table[a] = {b: ext_mul(factor, m) for b, m in self.block_mass[a].items()}
-        return StableMeasure(self.domain, table)
+        return StableMeasure._of(self.domain, table)
 
     def add(self, other: "StableMeasure") -> "StableMeasure":
         if self.domain != other.domain:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .algebra import Field, Ratio, ext_mul, ext_sum
+from .algebra import Field, Ratio, exact, ext_mul, ext_sum
 from .condsets import CondSpace, ConditionalSet, PointFun, product_space
 from .integral import Integrand, concatenate_integrands, indicator, integrate
 from .measure import StableMeasure, _fiber_mass
@@ -127,7 +127,8 @@ def _rectangle_measure(
     ``psigma``, the rectangle algebra of mu's domain and ``sy``, per atom.
 
     Each block is read as its pair (bx, by) by `_block_pairs`, so no
-    rectangle is built a second time.
+    rectangle is built a second time.  The masses are products of
+    validated finite masses, so the measure is built trusted.
     """
     table: dict[str, dict[frozenset, Fraction]] = {}
     for a in psigma.algebra.atoms:
@@ -135,7 +136,7 @@ def _rectangle_measure(
         table[a] = {
             b: ext_mul(masses[bx], right_mass(a, bx, by)) for b, bx, by in _block_pairs(psigma, mu.domain, sy, a)
         }
-    return StableMeasure(psigma, table)
+    return StableMeasure._of(psigma, table)
 
 
 def _product_measure(mu: StableMeasure, nu: StableMeasure, sigma: StableSigmaAlgebra | None) -> StableMeasure:
@@ -208,7 +209,8 @@ class StableMarkovKernel:
     __slots__ = ("sx", "sy", "rows")
 
     def __init__(self, sx: StableSigmaAlgebra, sy: StableSigmaAlgebra, rows: Mapping[str, Mapping]):
-        table = {a: {p: {q: Fraction(v) for q, v in rows[a][p].items()} for p in rows[a]} for a in rows}
+        where = "kernel row at atom {!r}, point {!r}"
+        table = {a: {p: {q: exact(v, where, a, p) for q, v in row.items()} for p, row in rows[a].items()} for a in rows}
         for a in sx.algebra.atoms:
             for p in sx.space.points:
                 row = table[a][p]
@@ -295,7 +297,7 @@ def radon_nikodym(mu: StableMeasure, nu: StableMeasure) -> Integrand:
         row = {}
         for b in domain.blocks(a):
             m = mu.block_mass[a][b]
-            ratio = Fraction(0) if m == 0 else Fraction(nu.block_mass[a][b]) / Fraction(m)
+            ratio = Fraction(0) if m == 0 else nu.block_mass[a][b] / m
             for p in b:
                 row[p] = ratio
         values[a] = row
@@ -334,12 +336,16 @@ def rn_improvement_step(f: Integrand, mu: StableMeasure, nu: StableMeasure) -> I
         raise ValueError("candidate and measures must share one sigma-algebra")
     if not f.is_nonnegative():
         raise ValueError("density candidates are nonnegative")
+    if not mu.is_finite():
+        raise ValueError("density search needs a finite base measure")
+    if not nu.is_finite():
+        raise ValueError("density search needs a finite numerator measure")
     algebra = domain.algebra
     lam_blocks: dict[str, dict[frozenset, Fraction]] = {}
     for a in algebra.atoms:
         lam_blocks[a] = {}
         for b in domain.blocks(a):
-            gap = Fraction(nu.block_mass[a][b]) - f.values[a][next(iter(b))] * Fraction(mu.block_mass[a][b])
+            gap = nu.block_mass[a][b] - f.values[a][next(iter(b))] * mu.block_mass[a][b]
             if gap < 0:
                 raise ValueError("candidate already exceeds the target on a block")
             lam_blocks[a][b] = gap

@@ -704,9 +704,7 @@ def _q_hahn(scn: Scenario, q: dict, where: str) -> QueryResult:
         pos = hahn_positive_set(mu1, mu2)
     agree = True
     for a in scn.algebra.atoms:
-        diffs = {
-            b: Fraction(mu2.block_mass[a][b]) - Fraction(mu1.block_mass[a][b]) for b in mu1.domain.blocks(a)
-        }
+        diffs = {b: mu2.block_mass[a][b] - mu1.block_mass[a][b] for b in mu1.domain.blocks(a)}
         if pos.fibers.get(a, frozenset()) != classical.hahn_positive(mu1.domain.blocks(a), diffs):
             agree = False
     space = mu1.domain.space

@@ -632,9 +632,13 @@ class TestBlockSum:
             cspace = draw.cspace(Size(rng.randint(1, 3), rng.randint(1, 4)))
             domain = draw.ring(cspace) if rng.random() < 0.3 else draw.sigma_algebra(cspace)
             seen["ring"] += isinstance(domain, StableRing)
-            mu = StableMeasure(
-                domain, {a: {b: rng.choice(SUM_MASSES) for b in domain.ring_at(a).blocks} for a in cspace.algebra.atoms}
-            )
+            given = {a: {b: rng.choice(SUM_MASSES) for b in domain.ring_at(a).blocks} for a in cspace.algebra.atoms}
+            mu = StableMeasure(domain, given)
+            for a, row in given.items():
+                for b, m in row.items():
+                    if type(m) is int:
+                        assert type(mu.block_mass[a][b]) is Fraction
+                        seen["int mass"] += 1
             sets = sample_members(domain, 24, seed) + [draw.cset(cspace) for _ in range(8)]
             for v in sets:
                 if not domain.contains(v):
@@ -655,7 +659,6 @@ class TestBlockSum:
                     assert got[a] == want and type(got[a]) is type(want), (v, mu)
                     seen["infinite inside"] += INF in inside
                     seen["zero mass"] += any(m == 0 for m in inside)
-                    seen["int mass"] += any(type(m) is int for m in inside)
                     seen["mixed denominators"] += len({Fraction(m).denominator for m in inside if m is not INF}) > 1
         assert all(seen.values()), seen
 

@@ -466,6 +466,15 @@ class TestRadonNikodym:
         density = radon_nikodym(mu, nu)
         assert rn_improvement_step(density, mu, nu) == density
 
+    def test_improvement_step_names_an_infinite_measure(self, pair_setting):
+        sigma, mu, nu = pair_setting
+        zero = Integrand.constant(sigma, 0)
+        infinite = nu.scale(INF)
+        with pytest.raises(ValueError, match="^density search needs a finite numerator measure$"):
+            rn_improvement_step(zero, mu, infinite)
+        with pytest.raises(ValueError, match="^density search needs a finite base measure$"):
+            rn_improvement_step(zero, infinite, nu)
+
 
 class TestDaniellStone:
     def test_recovers_the_integrating_measure(self, pair_setting, coin_space):
