@@ -130,10 +130,14 @@ class StableMeasure:
 
     @classmethod
     def from_point_masses(cls, domain, point_mass: Mapping[str, Mapping]) -> "StableMeasure":
-        """Sum per-point masses into block masses; finer input is allowed."""
+        """Sum per-point masses into block masses; finer input is allowed.
+        Each point mass is checked for sign before the sum."""
         table = {}
         for a in domain.algebra.atoms:
             pm = {p: exact(m, "point mass of {!r} at atom {!r}", p, a, infinite=True) for p, m in point_mass[a].items()}
+            for m in pm.values():
+                if m is not INF and m < 0:
+                    raise ValueError(f"negative mass {format_value(m)} at atom {a!r}")
             table[a] = {b: ext_sum(pm[p] for p in b) for b in domain.ring_at(a).blocks}
         return cls(domain, table)
 

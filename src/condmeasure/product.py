@@ -275,6 +275,17 @@ def radon_nikodym(mu: StableMeasure, nu: StableMeasure) -> Integrand:
     The returned integrand reproduces nu by integration over every
     measurable conditional set, and that identity is checked by
     enumeration before returning.
+
+    Up to 20,000 members the certificate integrates, for each member v
+    in `members` order, the density times the indicator of v and
+    compares the integral with ``nu.eval(v)``.  That integrand is built
+    from rows made before the loop: per atom and ring member m, the
+    density's row with every point outside m set to zero.  Such a row
+    is still constant on blocks, so the integrand is built trusted, and
+    the row work is once per ring member instead of once per
+    conditional member.  The check stays one `integrate` per member
+    until a certificate per block replaces it.  Above the cap the
+    identity is checked per atom and ring member, on block sums.
     """
     domain = mu.domain
     if not isinstance(domain, StableSigmaAlgebra) or domain != nu.domain:
@@ -304,8 +315,14 @@ def radon_nikodym(mu: StableMeasure, nu: StableMeasure) -> Integrand:
     density = Integrand(domain, values)
     cap = 20000
     if domain.member_count() <= cap:
+        zero, empty = Fraction(0), frozenset()
+        rows = {
+            a: {m: {p: r if p in m else zero for p, r in row.items()} for m in domain.ring_at(a).members()}
+            for a, row in density.values.items()
+        }
         for v in domain.members():
-            if integrate(density * indicator(v, domain), mu) != nu.eval(v):
+            restricted = Integrand._of(domain, {a: rows[a][v.fibers.get(a, empty)] for a in rows})
+            if integrate(restricted, mu) != nu.eval(v):
                 raise ValueError(f"density certificate failed on {v!r}")
     else:
         for a in algebra.atoms:

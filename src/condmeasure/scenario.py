@@ -11,6 +11,7 @@ render deterministically, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -141,6 +142,10 @@ def _by_point(raw: dict, points, where: str, kind: str = "point") -> dict:
 
 
 def _ext(raw, where: str) -> ExtValue:
+    # json reads 1e400 and Infinity as float inf and NaN as float nan;
+    # only the string "inf" is infinite.
+    if isinstance(raw, float) and not math.isfinite(raw):
+        raise ScenarioError(f"{where}: not a finite JSON number (read as {raw!r})")
     with _located(where):
         return parse_value(str(raw))
 

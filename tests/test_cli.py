@@ -83,6 +83,49 @@ class TestRun:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: {location}: expected ")
 
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize(
+        "name, written, location",
+        [
+            ("coverage", '"inf"', "measures.rho.blocks.a1"),
+            ("density", '"3/4"', "measures.nu.point_masses.a1.2"),
+        ],
+        ids=["block-mass", "point-mass"],
+    )
+    def test_a_non_finite_json_number_is_a_named_error(self, tmp_path, literal, name, written, location):
+        text = Path(scenario(name)).read_text()
+        assert text.count(written) == 1
+        path = tmp_path / "non-finite.json"
+        path.write_text(text.replace(written, literal))
+        proc = subprocess.run(
+            [sys.executable, "-m", "condmeasure.cli", "run", str(path)],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+        )
+        read_as = repr(float(literal))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {location}: not a finite JSON number (read as {read_as})\n"
+
+    @pytest.mark.parametrize("blocks", [[[1, 2]], [[1], [2]]], ids=["one-block", "discrete"])
+    def test_negative_point_masses_are_a_named_error(self, tmp_path, blocks):
+        doc = {
+            "atoms": [["a1", "1"]],
+            "ground": [1, 2],
+            "sigma_algebras": {"F": {"blocks": {"a1": blocks}}},
+            "measures": {"m": {"sigma": "F", "point_masses": {"a1": {"1": -1, "2": 1}}}},
+        }
+        path = tmp_path / "cancelling.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "condmeasure.cli", "run", str(path)],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: measures.m: negative mass -1 at atom 'a1'\n"
+
     @pytest.mark.parametrize(
         "parity, message",
         [

@@ -215,6 +215,16 @@ class TestStableMeasure:
         with pytest.raises(ValueError):
             StableMeasure(sig, {a: {frozenset({1, 2, 3}): Fraction(-1)} for a in ("a1", "a2")})
 
+    @pytest.mark.parametrize("masses", [{1: -1, 2: 1}, {1: -1, 2: INF}, {1: 2, 2: Fraction(-1)}])
+    def test_point_masses_are_checked_for_sign_before_the_sum(self, masses):
+        # the trivial algebra sums both points into one block, where the
+        # negative mass would cancel or vanish into INF; the discrete
+        # algebra keeps it on its own block
+        cspace = CondSpace(MeasureAlgebra([("a1", Fraction(1))]), GroundSpace((1, 2)))
+        for sig in (StableSigmaAlgebra.trivial(cspace), StableSigmaAlgebra.discrete(cspace)):
+            with pytest.raises(ValueError, match="^negative mass -1 at atom 'a1'$"):
+                StableMeasure.from_point_masses(sig, {"a1": masses})
+
     def test_eval_sums_blocks_and_localizes(self, trio):
         sig = StableSigmaAlgebra.discrete(trio)
         mu = StableMeasure.from_point_masses(

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from condmeasure import (
     BOTTOM,
     CondSpace,
     ConditionalSet,
+    Field,
     GroundSpace,
     INF,
     Integrand,
@@ -474,6 +476,83 @@ class TestRadonNikodym:
             rn_improvement_step(zero, mu, infinite)
         with pytest.raises(ValueError, match="^density search needs a finite base measure$"):
             rn_improvement_step(zero, infinite, nu)
+
+
+def seeded_density_instance(seed):
+    """A probability mu and a measure nu with density on a `Draw` sigma-algebra,
+    as the ``rn`` suite draws them: 1-3 atoms, 2-4 points."""
+    rng = random.Random(seed)
+    draw = Draw(rng)
+    sigma = draw.sigma_algebra(draw.cspace(Size(rng.randint(1, 3), rng.randint(2, 4))))
+    mu = draw.measure_on(sigma, probability=True)
+    f = draw.integrand(sigma, nonneg=True)
+    nu = StableMeasure(
+        sigma,
+        {a: {b: f.values[a][next(iter(b))] * mu.block_mass[a][b] for b in sigma.blocks(a)} for a in sigma.algebra.atoms},
+    )
+    return sigma, mu, nu
+
+
+class TestDensityCertificate:
+    """Below the member cap `radon_nikodym` integrates the density restricted
+    to each member, one `integrate` per member, from rows built per ring member."""
+
+    def test_one_integral_per_member_and_no_indicator_products(self, pair_setting, monkeypatch):
+        sigma, mu, nu = pair_setting
+        calls = {"integrate": 0, "indicator": 0, "mul": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(product, "integrate", counted("integrate", product.integrate))
+        monkeypatch.setattr(product, "indicator", counted("indicator", product.indicator))
+        monkeypatch.setattr(Integrand, "__mul__", counted("mul", Integrand.__mul__))
+        radon_nikodym(mu, nu)
+        assert sigma.member_count() == 16
+        assert calls == {"integrate": 16, "indicator": 0, "mul": 0}
+
+    def test_each_integrand_is_the_density_times_the_indicator(self, monkeypatch):
+        real_integrate = product.integrate
+        handed = []
+
+        def recording(f, mu):
+            handed.append(f)
+            return real_integrate(f, mu)
+
+        monkeypatch.setattr(product, "integrate", recording)
+        kinds = {"members": 0, "wide_block": 0, "null_block": 0}
+        for seed in range(40):
+            sigma, mu, nu = seeded_density_instance(seed)
+            handed.clear()
+            density = radon_nikodym(mu, nu)
+            expected = [density * indicator(v, sigma) for v in sigma.members()]
+            assert handed == expected, f"seed {seed}"
+            assert all(type(x) is Fraction for f in handed for row in f.values.values() for x in row.values())
+            kinds["members"] += len(expected)
+            kinds["wide_block"] += any(len(b) > 1 for a in sigma.algebra.atoms for b in sigma.blocks(a))
+            kinds["null_block"] += any(m == 0 for row in mu.block_mass.values() for m in row.values())
+        assert kinds["members"] > 1000 and kinds["wide_block"] > 0 and kinds["null_block"] > 0, kinds
+
+    @pytest.mark.parametrize("k", [0, 5, 15])
+    def test_a_wrong_integral_names_its_member(self, pair_setting, monkeypatch, k):
+        sigma, mu, nu = pair_setting
+        real_integrate = product.integrate
+        calls = []
+
+        def perturbed(f, measure):
+            got = real_integrate(f, measure)
+            calls.append(f)
+            return got + Field.constant(got.algebra, Fraction(1)) if len(calls) == k + 1 else got
+
+        monkeypatch.setattr(product, "integrate", perturbed)
+        member = list(sigma.members())[k]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'density certificate failed on {member!r}')}$"):
+            radon_nikodym(mu, nu)
+        assert len(calls) == k + 1
 
 
 class TestDaniellStone:
