@@ -141,13 +141,27 @@ def _by_point(raw: dict, points, where: str, kind: str = "point") -> dict:
     return out
 
 
+class _JsonNumber(float):
+    """A JSON number with a fraction or an exponent: the double `json` reads
+    it as, which points and error messages use, and its ``text``, which
+    `_ext` reads exactly (the double of 1e-400 is 0.0)."""
+
+    __slots__ = ("text",)
+
+
+def _json_number(text: str) -> _JsonNumber:
+    number = _JsonNumber(text)
+    number.text = text
+    return number
+
+
 def _ext(raw, where: str) -> ExtValue:
     # json reads 1e400 and Infinity as float inf and NaN as float nan;
     # only the string "inf" is infinite.
     if isinstance(raw, float) and not math.isfinite(raw):
         raise ScenarioError(f"{where}: not a finite JSON number (read as {raw!r})")
     with _located(where):
-        return parse_value(str(raw))
+        return parse_value(raw.text if isinstance(raw, _JsonNumber) else str(raw))
 
 
 def _finite(raw, where: str) -> Fraction:
@@ -316,7 +330,7 @@ def _load_kernel_rows(raw: dict, sx: StableSigmaAlgebra, sy: StableSigmaAlgebra,
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_json_number)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

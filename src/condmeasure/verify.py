@@ -933,6 +933,21 @@ def _broken_measure_to_kernel(mu: StableMeasure) -> kernels.Kernel:
     return kernels.Kernel(kappa.measure.domain.cspace, kappa.field, table)
 
 
+_original_radon_nikodym = products.radon_nikodym
+
+
+def _broken_radon_nikodym(mu: StableMeasure, nu: StableMeasure) -> Integrand:
+    # gives the density 1 instead of 0 on mu-null blocks, which no integral
+    # against mu can see
+    density = _original_radon_nikodym(mu, nu)
+    table = {a: dict(row) for a, row in density.values.items()}
+    for a, row in table.items():
+        for b in mu.domain.blocks(a):
+            if mu.block_mass[a][b] == 0:
+                row.update(dict.fromkeys(b, Fraction(1)))
+    return Integrand(mu.domain, table)
+
+
 FAULTS: dict[str, tuple[str, Callable, str]] = {
     "complement-support": (
         "complement forgets the region outside the support",
@@ -978,6 +993,11 @@ FAULTS: dict[str, tuple[str, Callable, str]] = {
         "scaling an integrand by a field uses the first atom's factor on every atom",
         _Swap(Integrand, "__mul__", _broken_integrand_mul),
         "daniell",
+    ),
+    "density-nonzero-on-null": (
+        "density recovery gives 1 instead of 0 on the blocks the base measure does not charge",
+        _Swap(products, "radon_nikodym", _broken_radon_nikodym),
+        "rn",
     ),
 }
 

@@ -3,12 +3,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import condmeasure
 from condmeasure import cli, verify
+from condmeasure.algebra import format_value
 
 SCENARIO_DIR = Path(__file__).parent.parent / "src" / "condmeasure" / "scenarios"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -106,6 +108,32 @@ class TestRun:
         read_as = repr(float(literal))
         assert proc.returncode == 2
         assert proc.stderr == f"error: {location}: not a finite JSON number (read as {read_as})\n"
+
+    @pytest.mark.parametrize("literal", ["1e-400", "3e-324", "75e-2", "0.1000000000000000055511151231257827"])
+    @pytest.mark.parametrize(
+        "name, written, line",
+        [
+            ("coverage", '"inf"', "mass: a1={}, a2=3/4"),
+            ("density", '"3/4"', "mass: a1={}, a2=1"),
+        ],
+        ids=["block-mass", "point-mass"],
+    )
+    def test_a_json_number_is_read_exactly_from_its_text(self, tmp_path, literal, name, written, line):
+        # the double of 1e-400 is 0.0 and that of 3e-324 is 5e-324
+        text = Path(scenario(name)).read_text()
+        path = tmp_path / "exact.json"
+        path.write_text(text.replace(written, literal))
+        proc = subprocess.run(
+            [sys.executable, "-m", "condmeasure.cli", "run", str(path)],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+        )
+        # query 1 measures a set holding the written block or point, and on
+        # the coverage ring the other block of a1 with mass 1/2
+        mass = Fraction(literal) + (Fraction(1, 2) if name == "coverage" else 0)
+        assert proc.returncode == 0, proc.stderr
+        assert f"  {line.format(format_value(mass))}\n" in proc.stdout
 
     @pytest.mark.parametrize("blocks", [[[1, 2]], [[1], [2]]], ids=["one-block", "discrete"])
     def test_negative_point_masses_are_a_named_error(self, tmp_path, blocks):

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -553,6 +554,98 @@ class TestDensityCertificate:
         with pytest.raises(ValueError, match=f"^{re.escape(f'density certificate failed on {member!r}')}$"):
             radon_nikodym(mu, nu)
         assert len(calls) == k + 1
+
+
+def blocks_instance(k):
+    """One atom with ``k`` blocks over ``k + 2`` points, so 2**k members: the
+    block {0, 1, 2} and singletons.  The i-th block in `SetRing` order has
+    mu-weight i + 1 and density (i + 1) / 3, except the middle one, which is
+    mu-null with density 0."""
+    algebra = MeasureAlgebra([("a1", Fraction(1))])
+    blocks = [frozenset({0, 1, 2})] + [frozenset({p}) for p in range(3, k + 2)]
+    sigma = StableSigmaAlgebra.from_blocks(CondSpace(algebra, GroundSpace(tuple(range(k + 2)))), {"a1": blocks})
+    ordered = sigma.blocks("a1")
+    weight = [0 if i == k // 2 else i + 1 for i in range(k)]
+    value = [Fraction(i + 1, 3) if w else Fraction(0) for i, w in enumerate(weight)]
+    mu = StableMeasure(sigma, {"a1": {b: Fraction(w, sum(weight)) for b, w in zip(ordered, weight)}})
+    nu = StableMeasure(sigma, {"a1": {b: r * mu.block_mass["a1"][b] for b, r in zip(ordered, value)}})
+    return sigma, mu, nu, {p: r for b, r in zip(ordered, value) for p in b}
+
+
+def condmeasure_calls(fn):
+    """The number of Python calls into `condmeasure` made by ``fn()``."""
+    package = str(Path(product.__file__).parent)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestDensityCertificateAboveTheCap:
+    """Above 20,000 members `radon_nikodym` checks ``density * mu(b) == nu(b)``
+    on each block, reading the density from the integrand it returns."""
+
+    def test_no_ring_member_is_listed(self, monkeypatch):
+        sigma, mu, nu, ratio = blocks_instance(24)
+        assert sigma.member_count() == 2**24
+        calls = {"member": 0, "integrate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(SetRing, "member", counted("member", SetRing.member))
+        monkeypatch.setattr(product, "integrate", counted("integrate", product.integrate))
+        density = radon_nikodym(mu, nu)
+        assert calls == {"member": 0, "integrate": 0}
+        assert density.values == {"a1": ratio}
+
+    def test_counted_calls_grow_linearly_in_the_blocks(self):
+        counts = []
+        for k in (16, 32, 64):
+            _, mu, nu, _ = blocks_instance(k)
+            counts.append(condmeasure_calls(lambda: radon_nikodym(mu, nu)))
+        assert all(later <= 2.2 * earlier for earlier, later in zip(counts, counts[1:])), counts
+
+    @pytest.mark.parametrize("i", [0, 1, 11, 13, 23])
+    def test_a_density_wrong_on_one_block_names_it(self, monkeypatch, i):
+        sigma, mu, nu, _ = blocks_instance(24)
+        block = sigma.blocks("a1")[i]
+        real = product.Integrand
+
+        def perturbed(domain, values):
+            f = real(domain, values)
+            for p in block:
+                f.values["a1"][p] += 1
+            return f
+
+        monkeypatch.setattr(product, "Integrand", perturbed)
+        wrong = ConditionalSet(("a1",), {"a1": block})
+        with pytest.raises(ValueError, match=f"^{re.escape(f'density certificate failed on {wrong!r}')}$"):
+            radon_nikodym(mu, nu)
+
+    def test_the_witness_names_every_null_block_that_nu_charges(self):
+        sigma, mu, nu, _ = blocks_instance(24)
+        # moving the mu-mass of two blocks onto a third leaves nu charging both
+        masses = dict(mu.block_mass["a1"])
+        first, second, last = (sigma.blocks("a1")[i] for i in (0, 1, -1))
+        masses[second] += masses[first] + masses[last]
+        mu = StableMeasure(sigma, {"a1": {**masses, first: Fraction(0), last: Fraction(0)}})
+        witness = ConditionalSet(("a1",), {"a1": first | last})
+        with pytest.raises(ValueError, match=f"^{re.escape(f'not absolutely continuous: witness {witness!r}')}$"):
+            radon_nikodym(mu, nu)
 
 
 class TestDaniellStone:
