@@ -6,9 +6,13 @@ then hold by construction; the behavioral checker still verifies the
 whole axiom list on any measure-shaped object, so deliberately broken
 evaluators can be caught.  Pre-measures live on stable rings; their
 outer masses come from exact enumeration of finite ring covers, one
-atom at a time (`OuterMeasure.mass_at`).  That search is the only one in
-the package: its oracle, `classical.outer_mass`, reads the value off the
-block masses in closed form.
+atom at a time (`OuterMeasure.mass_at`).  The enumeration tries only the
+ring members inside the fiber's hull, the union of the blocks the fiber
+meets: a cover cut down to the hull is still a cover, with no more
+members and no greater mass, because masses are nonnegative and add
+over blocks, so the cheapest cover is among those members.  That search
+is the only one in the package: its oracle, `classical.outer_mass`,
+reads the value off the block masses in closed form.
 
 `caratheodory_extend` restricts the outer measure to the generated
 stable sigma-algebra, which it reads off the ring without a closure:
@@ -413,10 +417,14 @@ def check_measure_axioms(mu, *, cap: int = 200) -> AxiomReport:
 class OuterMeasure:
     """Outer measure induced by a pre-measure on a stable ring.
 
-    Evaluation works on every conditional set: on the coverable part it
-    is the exact infimum over finite ring covers, found at each atom by
-    trying every combination of up to |fiber| ring members (`mass_at`);
-    off the coverable part it is infinite, and off the support it is zero.
+    Evaluation works on every conditional set whose support lies in the
+    algebra: on the coverable part it is the exact infimum over finite
+    ring covers, found at each atom by trying every combination of up to
+    |fiber| ring members inside the fiber's hull, the union of the
+    blocks it meets (`mass_at`); off the coverable part it is infinite,
+    and off the support it is zero.  The members outside the hull can be
+    left out, because cutting a cover down to the hull keeps it a cover
+    and raises no mass.
     """
 
     __slots__ = ("premeasure", "_member_masses")
@@ -446,10 +454,20 @@ class OuterMeasure:
 
     def mass_at(self, a: str, fiber: frozenset) -> ExtValue:
         """Outer mass of a nonempty fiber at atom ``a``: its cheapest cover by
-        at most |fiber| ring members, or INF when it leaves the ring."""
-        if not fiber <= self.premeasure.domain.ring_at(a).covered:
+        at most |fiber| ring members, or INF when it leaves the ring.
+
+        The search runs over the members inside the fiber's hull H, the
+        union of the blocks the fiber meets.  That loses no cover: each
+        member m of a cover can be replaced by m ∩ H, which is empty or a
+        member inside H of no greater mass, since masses are nonnegative
+        and add over blocks, and the nonempty ones still cover the fiber
+        with no more members.
+        """
+        ring = self.premeasure.domain.ring_at(a)
+        if not fiber <= ring.covered:
             return INF
-        table = self._member_masses[a]
+        hull = frozenset().union(*(b for b in ring.blocks if not b.isdisjoint(fiber)))
+        table = {m: x for m, x in self._member_masses[a].items() if m <= hull}
         best: ExtValue | None = None
         for k in range(1, len(fiber) + 1):
             for combo in combinations(table, k):
@@ -460,7 +478,11 @@ class OuterMeasure:
         return INF if best is None else best
 
     def evaluate(self, v: ConditionalSet) -> Field:
+        """Outer mass of a conditional set, atom by atom; zero off the
+        support.  Raises when an atom of its support is off the algebra."""
         atoms, fibers = self.algebra.atoms, v.fibers
+        if not fibers.keys() <= self.premeasure.block_mass.keys():
+            raise ValueError(f"not measurable: {v!r}")
         return Field._of(self.algebra, tuple(self.mass_at(a, fibers[a]) if a in fibers else _ZERO for a in atoms))
 
 
@@ -472,12 +494,16 @@ def is_caratheodory_measurable(outer: OuterMeasure, v: ConditionalSet) -> bool:
     outer mass of a covered fiber is the mass of the blocks it meets,
     so only a block met on both sides of the cut is counted twice, and
     that block is itself a test set that fails; an infinite block, or
-    an uncovered point, costs infinity on both sides.
+    an uncovered point, costs infinity on both sides.  A set with an
+    atom of its support off the algebra raises.
     """
+    block_mass = outer.premeasure.block_mass
+    if not v.fibers.keys() <= block_mass.keys():
+        raise ValueError(f"not measurable: {v!r}")
     return not any(
         is_finite(m) and m != 0 and b & v.fibers[a] and not b <= v.fibers[a]
         for a in v.support
-        for b, m in outer.premeasure.block_mass[a].items()
+        for b, m in block_mass[a].items()
     )
 
 

@@ -1,6 +1,11 @@
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 
@@ -26,11 +31,13 @@ from condmeasure import (
     is_caratheodory_measurable,
     uniqueness_check,
 )
-from condmeasure import condsets
+from condmeasure import classical, condsets, measure
 from condmeasure.algebra import ext_add, ext_sub, ext_sum
 from condmeasure.measure import sample_members
 from condmeasure.sigma import SetRing, mix_closure
 from condmeasure.verify import FAULTS, Draw, Size, inject_fault
+
+from call_counts import PACKAGE, condmeasure_calls
 
 #: Block masses drawn by the seeded tests: zero, finite positive, infinite.
 MASSES = (Fraction(0), Fraction(1, 3), Fraction(2), INF)
@@ -432,6 +439,16 @@ class TestOuterMeasure:
         union = outer.evaluate(mk(trio, {"a1": {1, 2}, "a2": {1, 2}}))
         assert union.le(outer.evaluate(v) + outer.evaluate(w))
 
+    def test_an_atom_off_the_algebra_is_not_measurable(self, premeasure):
+        v = ConditionalSet(("zz",), {"zz": frozenset({1})})
+        with pytest.raises(ValueError, match=f"^{re.escape(f'not measurable: {v!r}')}$"):
+            OuterMeasure(premeasure).evaluate(v)
+
+    def test_splitting_names_an_atom_off_the_algebra(self, premeasure):
+        v = ConditionalSet(("zz",), {"zz": frozenset({1})})
+        with pytest.raises(ValueError, match=f"^{re.escape(f'not measurable: {v!r}')}$"):
+            is_caratheodory_measurable(OuterMeasure(premeasure), v)
+
     def test_splitting_detects_non_measurable_set(self, trio, premeasure):
         outer = OuterMeasure(premeasure)
         member = mk(trio, {"a1": {1}})
@@ -470,6 +487,112 @@ class TestOuterMeasure:
                 verdicts[got] += 1
                 seen["off support"] += v.support != frozenset(algebra.atoms)
         assert all(seen.values()) and all(verdicts.values()), (seen, verdicts)
+
+
+def ring_premeasure(n_points, blocks, masses):
+    """A pre-measure on one atom: ``blocks`` over points 0..n_points-1,
+    block i weighing ``masses[i]``."""
+    cspace = CondSpace(MeasureAlgebra([("a1", Fraction(1))]), GroundSpace(tuple(range(n_points))))
+    ring = StableRing(cspace, {"a1": SetRing(blocks)})
+    return StableMeasure(ring, {"a1": dict(zip(blocks, masses))})
+
+
+class TestCoverSearchInsideTheHull:
+    """`mass_at` searches only the ring members inside the fiber's hull,
+    the union of the blocks the fiber meets."""
+
+    def test_cheapest_cover_is_the_closed_form_on_seeded_rings(self):
+        """On 60 seeded pre-measures of 4 to 8 blocks per atom on 1 to 3
+        atoms, the outer mass of fibers that meet 1 to 3 blocks equals
+        `classical.outer_mass`."""
+        rng = random.Random(29)
+        seen = {"zero block": 0, "infinite block": 0, "uncovered point": 0, "cut block": 0, "hull below covered": 0}
+        for _ in range(60):
+            n_blocks = rng.randint(4, 8)
+            algebra = MeasureAlgebra.uniform([f"a{i}" for i in range(rng.randint(1, 3))])
+            cspace = CondSpace(algebra, GroundSpace(tuple(range(2 * n_blocks + rng.randint(0, 2)))))
+            per_atom, masses = {}, {}
+            for a in algebra.atoms:
+                points = rng.sample(cspace.space.points, len(cspace.space.points))
+                blocks = []
+                for _ in range(n_blocks):
+                    size = rng.randint(1, 2)
+                    blocks.append(frozenset(points[:size]))
+                    del points[:size]
+                per_atom[a] = SetRing(blocks)
+                masses[a] = {b: rng.choice(MASSES) for b in blocks}
+            outer = OuterMeasure(StableMeasure(StableRing(cspace, per_atom), masses))
+            for a, ring in per_atom.items():
+                uncovered = sorted(cspace.space.point_set - ring.covered)
+                for _ in range(5):
+                    met = rng.sample(ring.blocks, rng.randint(1, 3))
+                    pool = sorted(frozenset().union(*met))
+                    fiber = frozenset(rng.sample(pool, rng.randint(1, min(4, len(pool)))))
+                    if uncovered and rng.random() < 0.2:
+                        fiber |= {rng.choice(uncovered)}
+                    want = classical.outer_mass(masses[a], fiber)
+                    assert outer.mass_at(a, fiber) == want, (masses[a], fiber)
+                    hull = [b for b in ring.blocks if b & fiber]
+                    seen["zero block"] += any(masses[a][b] == 0 for b in hull)
+                    seen["infinite block"] += any(masses[a][b] is INF for b in hull)
+                    seen["uncovered point"] += not fiber <= ring.covered
+                    seen["cut block"] += any(not b <= fiber for b in hull)
+                    seen["hull below covered"] += len(hull) < len(ring.blocks)
+        assert all(seen.values()), seen
+
+    def test_the_search_is_handed_the_members_inside_the_hull(self, monkeypatch):
+        """On one atom with 12 blocks, a 3-point fiber that meets 2 blocks
+        hands each of its |fiber| search rounds those 2 blocks and their
+        union, not the 4,095 members of the ring."""
+        blocks = [frozenset({2 * i, 2 * i + 1}) for i in range(12)]
+        outer = OuterMeasure(ring_premeasure(24, blocks, [Fraction(i + 1) for i in range(12)]))
+        inside = {blocks[0], blocks[2], blocks[0] | blocks[2]}
+        rounds = []
+        real = measure.combinations
+
+        def recorded(table, k):
+            # checked here, so a search over the whole ring fails at once
+            assert set(table) == inside
+            rounds.append(k)
+            return real(table, k)
+
+        monkeypatch.setattr(measure, "combinations", recorded)
+        assert outer.mass_at("a1", frozenset({0, 1, 4})) == 1 + 3
+        assert rounds == [1, 2, 3]
+
+
+def extension_call_counts(sizes=(5, 6, 7, 8)):
+    """Counted calls of `caratheodory_extend` on one atom with k two-point
+    ring blocks over 2k + 1 points, for each k in ``sizes``: the shape of
+    the bench's `caratheodory` factory at one atom."""
+    counts = []
+    for k in sizes:
+        rng = random.Random(1)
+        points = rng.sample(range(2 * k + 1), 2 * k)
+        blocks = [frozenset(points[i : i + 2]) for i in range(0, 2 * k, 2)]
+        masses = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in blocks]
+        pre = ring_premeasure(2 * k + 1, blocks, masses)
+        counts.append(condmeasure_calls(lambda: caratheodory_extend(pre)))
+    return counts
+
+
+class TestExtensionGrowth:
+    """`caratheodory_extend` pays for the member table, about 2x per added
+    block; each block's outer mass searches only the block itself."""
+
+    def test_counted_calls_grow_at_most_2_5x_per_block(self):
+        counts = extension_call_counts()
+        assert all(later <= 2.5 * earlier for earlier, later in zip(counts, counts[1:])), counts
+
+    def test_counted_calls_do_not_depend_on_the_hash_seed(self):
+        tests_dir = str(Path(__file__).parent)
+        code = f"import sys; sys.path[:0] = [{tests_dir!r}]; import test_measure; print(test_measure.extension_call_counts())"
+        seen = set()
+        for seed in ("0", "12345"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(Path(PACKAGE).parent)}
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            seen.add(proc.stdout)
+        assert seen == {f"{extension_call_counts()}\n"}
 
 
 class TestCaratheodoryExtension:

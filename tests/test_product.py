@@ -1,6 +1,5 @@
 import random
 import re
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,6 +36,8 @@ from condmeasure.condsets import product_space
 from condmeasure.integral import concatenate_integrands
 from condmeasure.sigma import SetRing
 from condmeasure.verify import Draw, Size
+
+from call_counts import condmeasure_calls
 
 
 def mk(space, fibers):
@@ -570,24 +571,6 @@ def blocks_instance(k):
     mu = StableMeasure(sigma, {"a1": {b: Fraction(w, sum(weight)) for b, w in zip(ordered, weight)}})
     nu = StableMeasure(sigma, {"a1": {b: r * mu.block_mass["a1"][b] for b, r in zip(ordered, value)}})
     return sigma, mu, nu, {p: r for b, r in zip(ordered, value) for p in b}
-
-
-def condmeasure_calls(fn):
-    """The number of Python calls into `condmeasure` made by ``fn()``."""
-    package = str(Path(product.__file__).parent)
-    count = 0
-
-    def profile(frame, event, arg):
-        nonlocal count
-        if event == "call" and frame.f_code.co_filename.startswith(package):
-            count += 1
-
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return count
 
 
 class TestDensityCertificateAboveTheCap:
