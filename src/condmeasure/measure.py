@@ -10,9 +10,15 @@ atom at a time (`OuterMeasure.mass_at`).  The enumeration tries only the
 ring members inside the fiber's hull, the union of the blocks the fiber
 meets: a cover cut down to the hull is still a cover, with no more
 members and no greater mass, because masses are nonnegative and add
-over blocks, so the cheapest cover is among those members.  That search
-is the only one in the package: its oracle, `classical.outer_mass`,
-reads the value off the block masses in closed form.
+over blocks, so the cheapest cover is among those members.  It adds
+integers: each atom has one scale, the least common multiple of the
+denominators of its finite block masses, and each finite ring member's
+mass is one `int` numerator over it, so a cover's total is a plain sum
+and only the cheapest becomes a `Fraction`.  Members of infinite mass
+are left out, since a covered fiber's hull is a cover and a finite
+cover, when there is one, holds no infinite member.  That search is
+the only one in the package: its oracle, `classical.outer_mass`, reads
+the value off the block masses in closed form.
 
 `caratheodory_extend` restricts the outer measure to the generated
 stable sigma-algebra, which it reads off the ring without a closure:
@@ -28,12 +34,11 @@ value per block: `scale` and the rectangle measures of `product` build
 through it.  `StableMeasure.eval` makes one membership pass over
 each atom's blocks (`_fiber_mass`): a block inside the fiber joins the
 sum, while a block the fiber cuts, or a fiber point outside every
-block, makes the set unmeasurable.  `Kernel.mass`, the member table of
-`OuterMeasure` and the sections of `product.section_mass_integrand` use
-the same helper, and the `Field` is built through the trusted
-`Field._of`.  Every block sum here, those of `_fiber_mass` as well as
-`StableMeasure.total`, `from_point_masses` and the cover sums of
-`OuterMeasure.mass_at`, goes through the one exact accumulator,
+block, makes the set unmeasurable.  `Kernel.mass` and the sections of
+`product.section_mass_integrand` use the same helper, and the `Field`
+is built through the trusted `Field._of`.  Every other block sum here,
+those of `_fiber_mass` as well as `StableMeasure.total` and
+`from_point_masses`, goes through the one exact accumulator,
 `algebra.ext_sum`: integer numerators over a running least common
 denominator, an INF flag, and one `Fraction` at the end.
 
@@ -425,27 +430,55 @@ class OuterMeasure:
     and off the support it is zero.  The members outside the hull can be
     left out, because cutting a cover down to the hull keeps it a cover
     and raises no mass.
+
+    The search adds integers.  Each atom has one scale, the least common
+    multiple of the denominators of its finite block masses, and the
+    member table holds each finite ring member's mass as one `int`
+    numerator over that scale: the numerator of the member without its
+    lowest block, plus that block's.  Members of infinite mass are left
+    out of the table.  A covered fiber lies inside its hull, a member, so
+    it has a cover; when one cover is finite, the cheapest holds no
+    infinite member, and when none is, the search over the finite
+    members finds nothing and the answer is INF either way.
     """
 
-    __slots__ = ("premeasure", "_member_masses")
+    __slots__ = ("premeasure", "_scale", "_numerators")
 
     def __init__(self, premeasure: StableMeasure):
         if not isinstance(premeasure.domain, StableRing):
             raise ValueError("outer measures are built from pre-measures on stable rings")
         self.premeasure = premeasure
-        self._member_masses = {}
+        self._scale: dict[str, int] = {}
+        self._numerators: dict[str, dict[frozenset, int]] = {}
         for a in premeasure.algebra.atoms:
-            masses = premeasure.block_mass[a]
             ring = premeasure.domain.ring_at(a)
-            self._member_masses[a] = {m: _fiber_mass(masses, ring.covered, m) for m in ring.members() if m}
+            masses = [premeasure.block_mass[a][b] for b in ring.blocks]
+            scale = math.lcm(*(m.denominator for m in masses if m is not INF))
+            block_nums = [None if m is INF else m.numerator * (scale // m.denominator) for m in masses]
+            # by member index: the bits of an index are its blocks, None is INF
+            nums: list[int | None] = [0]
+            table = {}
+            members = ring.members()
+            next(members)
+            for index, m in enumerate(members, 1):
+                rest, low = nums[index & (index - 1)], block_nums[(index & -index).bit_length() - 1]
+                n = None if rest is None or low is None else rest + low
+                nums.append(n)
+                if n is not None:
+                    table[m] = n
+            self._scale[a] = scale
+            self._numerators[a] = table
 
     @property
     def algebra(self):
         return self.premeasure.algebra
 
     def coverable_event(self, v: ConditionalSet) -> Event:
-        """Largest event on which the set can be covered by ring members."""
+        """Largest event on which the set can be covered by ring members.
+        Raises when an atom of its support is off the algebra."""
         ring = self.premeasure.domain
+        if not v.fibers.keys() <= self.premeasure.block_mass.keys():
+            raise ValueError(f"not measurable: {v!r}")
 
         def coverable(ev: Event) -> bool:
             return all(a not in v.support or v.fibers[a] <= ring.ring_at(a).covered for a in ev)
@@ -453,29 +486,35 @@ class OuterMeasure:
         return self.algebra.largest_event(coverable)
 
     def mass_at(self, a: str, fiber: frozenset) -> ExtValue:
-        """Outer mass of a nonempty fiber at atom ``a``: its cheapest cover by
-        at most |fiber| ring members, or INF when it leaves the ring.
+        """Outer mass of a fiber at atom ``a``: 0 when it is empty, else its
+        cheapest cover by at most |fiber| ring members, or INF when it
+        leaves the ring or has no cover of finite mass.
 
-        The search runs over the members inside the fiber's hull H, the
-        union of the blocks the fiber meets.  That loses no cover: each
-        member m of a cover can be replaced by m ∩ H, which is empty or a
-        member inside H of no greater mass, since masses are nonnegative
-        and add over blocks, and the nonempty ones still cover the fiber
-        with no more members.
+        The search runs over the finite members inside the fiber's hull
+        H, the union of the blocks the fiber meets.  That loses no cover:
+        each member m of a cover can be replaced by m ∩ H, which is empty
+        or a member inside H of no greater mass, since masses are
+        nonnegative and add over blocks, and the nonempty ones still
+        cover the fiber with no more members.  Each cover's total is a
+        sum of the members' integer numerators over the atom's scale, so
+        only the cheapest total becomes a `Fraction`.
         """
+        if not fiber:
+            return _ZERO
         ring = self.premeasure.domain.ring_at(a)
         if not fiber <= ring.covered:
             return INF
         hull = frozenset().union(*(b for b in ring.blocks if not b.isdisjoint(fiber)))
-        table = {m: x for m, x in self._member_masses[a].items() if m <= hull}
-        best: ExtValue | None = None
+        table = {m: n for m, n in self._numerators[a].items() if m <= hull}
+        numerator = table.__getitem__
+        best: int | None = None
         for k in range(1, len(fiber) + 1):
             for combo in combinations(table, k):
                 if fiber <= frozenset().union(*combo):
-                    total = ext_sum(table[m] for m in combo)
+                    total = sum(map(numerator, combo))
                     if best is None or total < best:
                         best = total
-        return INF if best is None else best
+        return INF if best is None else Fraction(best, self._scale[a])
 
     def evaluate(self, v: ConditionalSet) -> Field:
         """Outer mass of a conditional set, atom by atom; zero off the

@@ -1,10 +1,11 @@
+import math
 import os
 import random
 import re
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from pathlib import Path
 
 import pytest
@@ -444,6 +445,11 @@ class TestOuterMeasure:
         with pytest.raises(ValueError, match=f"^{re.escape(f'not measurable: {v!r}')}$"):
             OuterMeasure(premeasure).evaluate(v)
 
+    def test_coverability_names_an_atom_off_the_algebra(self, premeasure):
+        v = ConditionalSet(("zz",), {"zz": frozenset({1})})
+        with pytest.raises(ValueError, match=f"^{re.escape(f'not measurable: {v!r}')}$"):
+            OuterMeasure(premeasure).coverable_event(v)
+
     def test_splitting_names_an_atom_off_the_algebra(self, premeasure):
         v = ConditionalSet(("zz",), {"zz": frozenset({1})})
         with pytest.raises(ValueError, match=f"^{re.escape(f'not measurable: {v!r}')}$"):
@@ -559,6 +565,79 @@ class TestCoverSearchInsideTheHull:
         monkeypatch.setattr(measure, "combinations", recorded)
         assert outer.mass_at("a1", frozenset({0, 1, 4})) == 1 + 3
         assert rounds == [1, 2, 3]
+
+
+class TestIntegerCoverSums:
+    """`mass_at` adds each cover's integer numerators over the atom's
+    scale and builds one `Fraction` per answer."""
+
+    POINTS = tuple(range(7))
+    # point 6 lies in no block
+    BLOCKS = (frozenset({0}), frozenset({1, 2}), frozenset({3, 4}), frozenset({5}))
+
+    def two_atom_premeasure(self, masses):
+        """Atom a1 weighs the four blocks by ``masses``; every block of a2
+        is infinite."""
+        cspace = CondSpace(MeasureAlgebra.uniform(["a1", "a2"]), GroundSpace(self.POINTS))
+        ring = StableRing(cspace, {a: SetRing(list(self.BLOCKS)) for a in ("a1", "a2")})
+        return StableMeasure(ring, {"a1": dict(zip(self.BLOCKS, masses)), "a2": {b: INF for b in self.BLOCKS}})
+
+    @pytest.mark.parametrize(
+        "masses",
+        [
+            (Fraction(1, 3), Fraction(1, 4), Fraction(5, 6), Fraction(0)),
+            (Fraction(1, 3), Fraction(1, 4), INF, Fraction(5, 6)),
+            (Fraction(0), INF, Fraction(1, 4), Fraction(1, 3)),
+        ],
+    )
+    def test_integer_sums_equal_the_closed_form_without_ext_sum(self, masses, monkeypatch):
+        """Every 3- to 5-point fiber: `mass_at` equals `classical.outer_mass`,
+        a finite answer is a reduced `Fraction`, and neither the member
+        table nor the search calls `ext_sum`."""
+        calls = []
+        real = measure.ext_sum
+
+        def counted(values):
+            calls.append(1)
+            return real(values)
+
+        monkeypatch.setattr(measure, "ext_sum", counted)
+        pre = self.two_atom_premeasure(masses)
+        outer = OuterMeasure(pre)
+        fibers = [frozenset(c) for k in (3, 4, 5) for c in combinations(self.POINTS, k)]
+        seen = {"finite": 0, "INF": 0}
+        for a in ("a1", "a2"):
+            for fiber in fibers:
+                got = outer.mass_at(a, fiber)
+                assert got == classical.outer_mass(pre.block_mass[a], fiber), (a, fiber)
+                if got is INF:
+                    seen["INF"] += 1
+                else:
+                    assert type(got) is Fraction and math.gcd(got.numerator, got.denominator) == 1, got
+                    seen["finite"] += 1
+        assert all(seen.values()), seen
+        assert calls == []
+
+
+def member_table_call_counts(sizes=(8, 9, 10, 11)):
+    """Counted calls of `OuterMeasure(pre)` on one atom with k singleton
+    ring blocks, for each k in ``sizes``."""
+    counts = []
+    for k in sizes:
+        rng = random.Random(1)
+        blocks = [frozenset({i}) for i in range(k)]
+        pre = ring_premeasure(k, blocks, [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in blocks])
+        counts.append(condmeasure_calls(lambda: OuterMeasure(pre)))
+    return counts
+
+
+class TestMemberTableGrowth:
+    """The member table lists every ring member of an atom, about 2x per
+    added block, and weighs each with one integer addition."""
+
+    def test_counted_calls_grow_at_most_2_25x_per_block(self):
+        counts = member_table_call_counts()
+        assert all(later <= 2.25 * earlier for earlier, later in zip(counts, counts[1:])), counts
 
 
 def extension_call_counts(sizes=(5, 6, 7, 8)):

@@ -22,13 +22,13 @@ uses another algorithm:
 - `OuterMeasure.mass_at`, the cover search, and `caratheodory_extend`
   on every pre-measure of one atom on 1-3 points and of two atoms on
   1-2 points, with block masses in {0, 1/2, 1, INF}.  The per-atom
-  outer mass of every nonempty fiber must equal `classical.outer_mass`
-  (the mass of the blocks the fiber meets), and the extension's blocks
-  and masses must equal `classical.caratheodory_blocks`; the extension
-  must also agree with the pre-measure on every ring member.  On the
-  same pre-measures, `is_caratheodory_measurable` must equal the
-  splitting definition: the set cuts every test set of the space
-  additively.
+  outer mass of every fiber, the empty one included, must equal
+  `classical.outer_mass` (the mass of the blocks the fiber meets, 0 for
+  the empty fiber), and the extension's blocks and masses must equal
+  `classical.caratheodory_blocks`; the extension must also agree with
+  the pre-measure on every ring member.  On the same pre-measures,
+  `is_caratheodory_measurable` must equal the splitting definition: the
+  set cuts every test set of the space additively.
 - `radon_nikodym` on one atom with every partition of 4 points into
   blocks and block masses in {0, 1/2, 1}: the density times the mass
   of each block under mu must be its mass under nu, or the call must
@@ -251,7 +251,7 @@ def premeasures(cspace: CondSpace):
 def test_outer_mass_and_extension_equal_the_closed_forms_on_every_premeasure(atoms, points, count):
     cspace = cspace_of(atoms, points)
     universe = cspace.space.point_set
-    fibers = subsets(universe)[1:]
+    fibers = subsets(universe)
     seen = 0
     for pre in premeasures(cspace):
         outer, ext = OuterMeasure(pre), caratheodory_extend(pre)
